@@ -5,9 +5,9 @@
 //! §2.2.3/§2.2.4 — uniform integrity, uniform agreement (modulo still-
 //! running learners), and uniform total/partial order.
 
+use std::cell::{BorrowMutError, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::rc::Rc;
 
 /// Globally unique id of a broadcast message.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -32,12 +32,24 @@ pub struct DeliveryLog {
     epochs: Vec<Vec<(usize, u64)>>,
 }
 
-/// Shared handle protocols use to record deliveries.
-pub type SharedLog = Arc<Mutex<DeliveryLog>>;
+/// Shared handle protocols use to record deliveries. Learners and the
+/// experiment driver hold clones of one log; the simulation runs on a
+/// single thread, so the log is a `RefCell`, not a mutex.
+#[derive(Clone, Debug)]
+pub struct SharedLog(Rc<RefCell<DeliveryLog>>);
+
+impl SharedLog {
+    /// Borrows the log for reading or recording. Fails only if the log
+    /// is already borrowed — a caller holding a guard across a call that
+    /// records into the same log.
+    pub fn lock(&self) -> Result<RefMut<'_, DeliveryLog>, BorrowMutError> {
+        self.0.try_borrow_mut()
+    }
+}
 
 /// Creates a shared log for `learners` learners.
 pub fn shared_log(learners: usize) -> SharedLog {
-    Arc::new(Mutex::new(DeliveryLog::new(learners)))
+    SharedLog(Rc::new(RefCell::new(DeliveryLog::new(learners))))
 }
 
 impl DeliveryLog {

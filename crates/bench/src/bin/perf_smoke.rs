@@ -5,27 +5,10 @@
 //! ```text
 //! cargo run --release -p bench --bin perf_smoke                   # print + write BENCH_simcore.json
 //! cargo run --release -p bench --bin perf_smoke -- --runs 5       # best of 5 instead of 3
-//! cargo run --release -p bench --bin perf_smoke -- --partition 2  # 2-shard round-robin executor
-//! cargo run --release -p bench --bin perf_smoke -- --partition 4 --threads 4   # fast-mode pool
 //! cargo run --release -p bench --bin perf_smoke -- --no-write
 //! cargo run --release -p bench --bin perf_smoke -- --sessions 1_000_000   # session-table scale
-//! perf_smoke --paired "target/release/perf_smoke --threads 1" \
-//!                     "target/release/perf_smoke --threads 4"    # interleaved A/B
+//! perf_smoke --paired "old/perf_smoke" "target/release/perf_smoke"   # interleaved A/B
 //! ```
-//!
-//! `--partition k` runs the same scenarios under a k-shard round-robin
-//! partition of the executor (`k = 1`, the default, is the identity
-//! partition). Virtual-time results are identical for every `k` — the
-//! shard scaffold is semantics-preserving — so the flag isolates the
-//! wall-clock overhead of the cross-shard handoff path.
-//!
-//! `--threads t` (t > 1) switches the executor to [`ExecMode::Fast`]
-//! with `t` workers over the configured partition. Fast mode trades the
-//! serial global interleaving for window-parallel execution, so
-//! virtual-time results differ slightly from the serial/determinism
-//! numbers (port contention resolves in switch-arrival order) but are
-//! themselves deterministic and thread-count invariant; the JSON
-//! records `mode` and `threads` beside every row.
 //!
 //! `--paired A B` interleaves two *commands* (typically two builds of
 //! this binary, or the same build under two flag sets) A B A B … for
@@ -62,13 +45,6 @@ struct RunResult {
     /// and the messages they carried (identical across repetitions).
     dispatches: u64,
     dispatched_msgs: u64,
-    /// Events that crossed a shard boundary (0 under the identity
-    /// partition; identical across repetitions).
-    cross_shard: u64,
-    /// Mean per-worker barrier wait, seconds of wall clock (0 in
-    /// determinism mode; from capacity-0 executor probes, so nothing is
-    /// buffered during the measured run).
-    barrier_wait_mean_s: f64,
 }
 
 impl RunResult {
@@ -76,7 +52,7 @@ impl RunResult {
         let samples =
             self.wall_samples.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(",");
         format!(
-            "\"{}\":{{\"events\":{},\"wall_s\":{:.4},\"wall_s_samples\":[{}],\"events_per_sec\":{:.0},\"delivered_msgs\":{},\"delivered_per_wall_sec\":{:.0},\"virtual_ms\":{},\"delivery_dispatches\":{},\"delivery_msgs\":{},\"mean_batch\":{:.3},\"cross_shard_events\":{},\"barrier_wait_mean_s\":{:.4}}}",
+            "\"{}\":{{\"events\":{},\"wall_s\":{:.4},\"wall_s_samples\":[{}],\"events_per_sec\":{:.0},\"delivered_msgs\":{},\"delivered_per_wall_sec\":{:.0},\"virtual_ms\":{},\"delivery_dispatches\":{},\"delivery_msgs\":{},\"mean_batch\":{:.3}}}",
             self.name,
             self.events,
             self.wall_s,
@@ -88,43 +64,15 @@ impl RunResult {
             self.dispatches,
             self.dispatched_msgs,
             self.dispatched_msgs as f64 / self.dispatches.max(1) as f64,
-            self.cross_shard,
-            self.barrier_wait_mean_s,
         )
     }
 }
 
-/// Applies the partition/threads configuration to a fresh sim. Threads
-/// above 1 select the fast-mode worker pool (determinism mode ignores
-/// the thread count by contract, so measuring it would be a no-op).
-fn configure(sim: &mut Sim, shards: usize, threads: usize) {
-    if shards > 1 {
-        sim.set_partition(Partition::modulo(0, shards));
-    }
-    if threads > 1 {
-        sim.set_exec_mode(ExecMode::Fast);
-        sim.set_threads(threads);
-        // Capacity-0 executor probes: per-worker barrier-wait telemetry
-        // and the handoff aggregates without buffering a single event.
-        sim.set_probes(ProbeConfig::executor_only());
-    }
-}
-
-/// Mean per-worker barrier wait in seconds (0 when no telemetry ran).
-fn barrier_wait_mean(sim: &Sim) -> f64 {
-    let tel = sim.worker_telemetry();
-    if tel.is_empty() {
-        return 0.0;
-    }
-    tel.iter().map(|w| w.barrier_wait.as_secs_f64()).sum::<f64>() / tel.len() as f64
-}
-
-fn run_uring(shards: usize, threads: usize) -> RunResult {
+fn run_uring() -> RunResult {
     let virtual_ms = 4_000;
     let mut cfg = SimConfig::default();
     cfg.seed = 0xBEEF;
     let mut sim = Sim::new(cfg);
-    configure(&mut sim, shards, threads);
     let opts = URingOptions {
         ring_len: 5,
         n_acceptors: 3,
@@ -145,18 +93,15 @@ fn run_uring(shards: usize, threads: usize) -> RunResult {
         virtual_ms,
         dispatches,
         dispatched_msgs,
-        cross_shard: sim.cross_shard_events(),
-        barrier_wait_mean_s: barrier_wait_mean(&sim),
     }
 }
 
-fn run_mring(shards: usize, threads: usize) -> RunResult {
+fn run_mring() -> RunResult {
     let virtual_ms = 1_500;
     let mut cfg = SimConfig::default();
     cfg.seed = 0xF00D;
     cfg.random_loss = 0.001; // exercise the loss/retransmission paths too
     let mut sim = Sim::new(cfg);
-    configure(&mut sim, shards, threads);
     let opts = MRingOptions {
         ring_size: 3,
         n_learners: 2,
@@ -178,8 +123,6 @@ fn run_mring(shards: usize, threads: usize) -> RunResult {
         virtual_ms,
         dispatches,
         dispatched_msgs,
-        cross_shard: sim.cross_shard_events(),
-        barrier_wait_mean_s: barrier_wait_mean(&sim),
     }
 }
 
@@ -418,33 +361,14 @@ fn main() {
         run_paired(&a, &b, runs, no_write);
         return;
     }
-    let partition = args
-        .iter()
-        .position(|a| a == "--partition")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
-    // Threads only bite in fast mode over a real partition; default the
-    // partition to the thread count so `--threads 4` alone means
-    // "4 shards, 4 workers".
-    let partition = if threads > 1 && partition == 1 { threads } else { partition };
-    let mode = if threads > 1 { "fast" } else { "determinism" };
     // Warm up caches/allocator so the measured passes are steady-state.
-    let _ = run_uring(partition, threads);
-    let uring = best_of(runs, || run_uring(partition, threads));
-    let mring = best_of(runs, || run_mring(partition, threads));
+    let _ = run_uring();
+    let uring = best_of(runs, run_uring);
+    let mring = best_of(runs, run_mring);
     let total_events = uring.events + mring.events;
     let total_wall = uring.wall_s + mring.wall_s;
     let line = format!(
-        "{{\"bench\":\"simcore\",\"best_of\":{runs},\"partition\":{partition},\"threads\":{threads},\"mode\":\"{mode}\",{},{},\"total_events_per_sec\":{:.0}}}",
+        "{{\"bench\":\"simcore\",\"best_of\":{runs},{},{},\"total_events_per_sec\":{:.0}}}",
         uring.json(),
         mring.json(),
         total_events as f64 / total_wall,

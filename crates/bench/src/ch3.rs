@@ -588,7 +588,7 @@ fn fig3_14() {
     };
     // The slow learner's per-batch application cost is flipped at runtime
     // through a cost control; deploy manually to attach one.
-    let slow_cost = std::sync::Arc::new(std::sync::Mutex::new(Dur::ZERO));
+    let slow_cost = std::rc::Rc::new(std::cell::Cell::new(Dur::ZERO));
     let d = deploy_mring(&mut sim, &opts, |cfg| {
         cfg.flow.learner_threshold = 256;
     });
@@ -602,10 +602,10 @@ fn fig3_14() {
     for step in 1..=10u64 {
         let t = Time::from_millis(step * 250);
         if t == Time::from_millis(750) {
-            *slow_cost.lock().unwrap() = Dur::micros(150); // can only process ~6.7k batches/s
+            slow_cost.set(Dur::micros(150)); // can only process ~6.7k batches/s
         }
         if t == Time::from_millis(1750) {
-            *slow_cost.lock().unwrap() = Dur::ZERO;
+            slow_cost.set(Dur::ZERO);
         }
         sim.run_until(t);
         let cur = sim.metrics().counter(slow, metric::DELIVERED_BYTES);

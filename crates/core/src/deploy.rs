@@ -266,7 +266,7 @@ pub struct SessionOptions {
     /// Zipf exponent for key selection; `0.0` = uniform keys.
     pub zipf_s: f64,
     /// Session-table actors (each its own node; spread them to spread
-    /// client-side submission work across sim shards).
+    /// client-side submission work across simulated machines).
     pub n_tables: usize,
     /// Simulated sessions hosted *per table*.
     pub sessions_per_table: u64,

@@ -21,9 +21,9 @@ use simnet::ids::NodeId;
 use simnet::time::Dur;
 
 /// A deterministic state machine the SMR layer can replicate.
-pub trait Service: Send {
+pub trait Service {
     /// Command type.
-    type Command: Clone + Send + Sync + 'static;
+    type Command: Clone + 'static;
 
     /// Executes one command, returning its modelled execution time.
     /// Implementations must be deterministic.

@@ -2,8 +2,8 @@
 //! rings (one per group) plus learners that merge them deterministically
 //! (ch. 5, Algorithm 1).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use abcast::{shared_log, Pacer, SharedLog};
 use ringpaxos::mring::MRingProcess;
@@ -70,7 +70,7 @@ pub struct RingHandle {
     /// Proposer nodes of this ring.
     pub proposers: Vec<NodeId>,
     /// Live rate controls, one per proposer (bits/s; 0 pauses).
-    pub rate_controls: Vec<Arc<AtomicU64>>,
+    pub rate_controls: Vec<Rc<Cell<u64>>>,
 }
 
 impl RingHandle {
@@ -83,7 +83,7 @@ impl RingHandle {
     pub fn set_rate(&self, total_bps: u64) {
         let per = (total_bps / self.rate_controls.len() as u64).max(1);
         for c in &self.rate_controls {
-            c.store(if total_bps == 0 { 0 } else { per }, Ordering::Relaxed);
+            c.set(if total_bps == 0 { 0 } else { per });
         }
     }
 }
@@ -140,7 +140,7 @@ pub fn deploy_multiring(sim: &mut Sim, opts: &MultiRingOptions) -> MultiRingDepl
         let mut rate_controls = Vec::new();
         for &p in &proposers {
             let pacer = Pacer::new(per_proposer, opts.msg_bytes, 1);
-            let ctl = Arc::new(AtomicU64::new(per_proposer));
+            let ctl = Rc::new(Cell::new(per_proposer));
             rate_controls.push(ctl.clone());
             let actor = MRingProcess::new(cfg.clone(), p, Some(pacer), Some(local_log.clone()))
                 .with_rate_control(ctl);

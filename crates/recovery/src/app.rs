@@ -13,7 +13,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 /// What a recovery-enabled learner asks of its replicated service.
-pub trait RecoveredApp: Send {
+pub trait RecoveredApp {
     /// Applies one delivered value (identified by proposer node id,
     /// per-proposer sequence, and payload size). Must be deterministic:
     /// every learner incarnation applying the same sequence reaches the

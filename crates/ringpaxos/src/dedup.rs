@@ -26,6 +26,11 @@ use simnet::ids::NodeId;
 /// against pathological reordering keeping the tracker O(proposers).
 pub const MAX_OVERFLOW: usize = 4096;
 
+/// Per-learner counter of overflow evictions ([`DeliveredTracker::
+/// take_evictions`]). Bumped only when an eviction happened, so it is
+/// absent from runs that never evict.
+pub const DEDUP_EVICT: &str = "rp.dedup_evict";
+
 /// Exactly-once filter over `(proposer, seq)` pairs with per-proposer
 /// contiguous-sequence watermarks and a bounded overflow set.
 ///
@@ -37,7 +42,9 @@ pub const MAX_OVERFLOW: usize = 4096;
 /// is reported as a duplicate (i.e. lost). Eviction therefore trades
 /// possible message loss for the misbehaving stream against a hard
 /// memory bound, while preserving at-most-once delivery — never
-/// duplication — and leaving well-behaved proposers untouched.
+/// duplication — and leaving well-behaved proposers untouched. Every
+/// eviction is counted, so the loss it may cause is visible
+/// ([`DEDUP_EVICT`]).
 #[derive(Debug, Default)]
 pub struct DeliveredTracker {
     /// `marks[p]` = lowest sequence of proposer `p` not yet delivered
@@ -49,6 +56,8 @@ pub struct DeliveredTracker {
     /// `parked[p]` = entries of proposer `p` in `overflow` (eviction
     /// picks the largest).
     parked: Vec<usize>,
+    /// Evictions not yet collected by [`DeliveredTracker::take_evictions`].
+    evictions: u64,
 }
 
 impl DeliveredTracker {
@@ -103,12 +112,19 @@ impl DeliveredTracker {
         };
         self.overflow.remove(&(p, seq));
         self.parked[p] -= 1;
+        self.evictions += 1;
         let mut next = seq + 1;
         while self.overflow.remove(&(p, next)) {
             self.parked[p] -= 1;
             next += 1;
         }
         self.marks[p] = self.marks[p].max(next);
+    }
+
+    /// Evictions since the previous call. Learners publish the delta as
+    /// their [`DEDUP_EVICT`] counter.
+    pub fn take_evictions(&mut self) -> u64 {
+        std::mem::take(&mut self.evictions)
     }
 
     /// Entries currently parked out of order (diagnostics/tests).
@@ -127,8 +143,12 @@ impl DeliveredTracker {
     /// export`]), so a restarted learner resumes exactly-once filtering
     /// from the checkpoint's basis.
     pub fn restore(marks: Vec<u64>, parked: Vec<(u64, u64)>) -> DeliveredTracker {
-        let mut t =
-            DeliveredTracker { parked: vec![0; marks.len()], marks, overflow: BTreeSet::new() };
+        let mut t = DeliveredTracker {
+            parked: vec![0; marks.len()],
+            marks,
+            overflow: BTreeSet::new(),
+            evictions: 0,
+        };
         for (p, s) in parked {
             let p = p as usize;
             if p >= t.marks.len() {
@@ -212,6 +232,26 @@ mod tests {
         // ...and so is the unseen gap it collapsed over (seq 0 was never
         // delivered; suppressing it is the documented loss-not-dup trade).
         assert!(!t.fresh(NodeId(0), 0));
+    }
+
+    #[test]
+    fn evictions_are_counted_from_the_bound_on() {
+        let mut t = DeliveredTracker::new();
+        for seq in 1..=MAX_OVERFLOW as u64 {
+            assert!(t.fresh(NodeId(0), seq));
+        }
+        assert_eq!(t.take_evictions(), 0, "filling up to the bound evicts nothing");
+        // The first entry past the bound evicts exactly once...
+        assert!(t.fresh(NodeId(0), MAX_OVERFLOW as u64 + 2));
+        assert_eq!(t.take_evictions(), 1);
+        // ...and the count is a delta: taken once, then zero again.
+        assert_eq!(t.take_evictions(), 0);
+        // Every further overflow insert past the bound evicts again.
+        let base = MAX_OVERFLOW as u64 + 4;
+        for k in 0..=MAX_OVERFLOW as u64 {
+            assert!(t.fresh(NodeId(5), base + 2 * k));
+        }
+        assert!(t.take_evictions() >= 1);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! failover (§3.3.5), window-based flow control with learner back-pressure
 //! (§3.3.6), and version-vector garbage collection (§3.3.7).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use abcast::{metric, MsgId, Pacer, SharedLog};
 use paxos::acceptor::Acceptor;
@@ -282,10 +282,10 @@ pub struct MRingProcess {
     total_acceptors: usize,
     /// Live control of the proposer's offered rate (bits/s); experiment
     /// drivers flip it mid-run (Fig. 5.9/5.10 oscillating workloads).
-    rate_ctl: Option<Arc<AtomicU64>>,
+    rate_ctl: Option<Rc<Cell<u64>>>,
     /// Live control of the learner's per-batch processing cost
     /// (Fig. 3.14's slow-learner trace).
-    cost_ctl: Option<Arc<Mutex<Dur>>>,
+    cost_ctl: Option<Rc<Cell<Dur>>>,
     /// Highest GC watermark already applied; re-announcements of the same
     /// watermark (it rides on every 2A) skip the tree-splitting work.
     gc_applied: InstanceId,
@@ -427,13 +427,13 @@ impl MRingProcess {
 
     /// Attaches a live rate control for this proposer (bits per second;
     /// `0` pauses proposing).
-    pub fn with_rate_control(mut self, ctl: Arc<AtomicU64>) -> MRingProcess {
+    pub fn with_rate_control(mut self, ctl: Rc<Cell<u64>>) -> MRingProcess {
         self.rate_ctl = Some(ctl);
         self
     }
 
     /// Attaches a live control for the learner's per-batch cost.
-    pub fn with_cost_control(mut self, ctl: Arc<Mutex<Dur>>) -> MRingProcess {
+    pub fn with_cost_control(mut self, ctl: Rc<Cell<Dur>>) -> MRingProcess {
         self.cost_ctl = Some(ctl);
         self
     }
@@ -456,7 +456,7 @@ impl MRingProcess {
     // ------------------------------------------------------------------
 
     fn pace(&mut self, ctx: &mut Ctx) {
-        let ctl_rate = self.rate_ctl.as_ref().map(|c| c.load(AtomicOrdering::Relaxed));
+        let ctl_rate = self.rate_ctl.as_ref().map(|c| c.get());
         let Some(p) = self.prop.as_mut() else { return };
         let Some(pacer) = p.pacer.as_mut() else { return };
         if let Some(rate) = ctl_rate {
@@ -566,9 +566,9 @@ impl MRingProcess {
                 c.logical_count += 1;
                 let partitioned = self.cfg.partitions.is_some();
                 let decisions = if partitioned {
-                    Arc::new(Vec::new()) // no piggybacking in partitioned mode
+                    Rc::new(Vec::new()) // no piggybacking in partitioned mode
                 } else {
-                    Arc::new(std::mem::take(&mut c.decided_unsent))
+                    Rc::new(std::mem::take(&mut c.decided_unsent))
                 };
                 let gc_upto = c.gc_watermark;
                 c.last_mcast = ctx.now();
@@ -609,7 +609,7 @@ impl MRingProcess {
             }
             if decisions_only && force {
                 let c = self.coord.as_mut().expect("checked");
-                let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
+                let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
                 let gc_upto = c.gc_watermark;
                 c.last_mcast = ctx.now();
                 let group = self
@@ -695,7 +695,7 @@ impl MRingProcess {
         if c.decided_unsent.is_empty() {
             return;
         }
-        let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
+        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
         let round = self.round;
@@ -889,11 +889,7 @@ impl MRingProcess {
     }
 
     fn try_deliver(&mut self, ctx: &mut Ctx) {
-        let batch_cost = self
-            .cost_ctl
-            .as_ref()
-            .map(|c| *c.lock().unwrap())
-            .unwrap_or(self.cfg.learner_batch_cost);
+        let batch_cost = self.cost_ctl.as_ref().map_or(self.cfg.learner_batch_cost, |c| c.get());
         loop {
             let Some(l) = self.lrn.as_mut() else { return };
             let next = l.next_deliver;
@@ -935,6 +931,10 @@ impl MRingProcess {
                     continue; // duplicate after failover resubmission
                 }
                 delivered_here.push(*v);
+            }
+            let evicted = l.delivered.take_evictions();
+            if evicted != 0 {
+                ctx.counter_add(crate::dedup::DEDUP_EVICT, evicted);
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
@@ -1383,7 +1383,7 @@ impl MRingProcess {
                 instance,
                 round,
                 batch,
-                decisions: Arc::new(Vec::new()),
+                decisions: Rc::new(Vec::new()),
                 gc_upto: InstanceId(0),
                 skip,
                 mask,
@@ -1491,8 +1491,7 @@ impl MRingProcess {
             }
             let (votes, decided) = self.collect_own_votes(round);
             let me = self.me;
-            let wire = self.cfg.ctl_bytes
-                + votes.iter().map(|(_, _, b)| batch_bytes(b) as u32).sum::<u32>();
+            let wire = crate::msg::phase1b_wire_bytes(self.cfg.ctl_bytes, &votes);
             ctx.udp_send(from, MMsg::Phase1b { round, from: me, votes, decided }, wire);
         }
     }
@@ -1609,7 +1608,7 @@ impl MRingProcess {
                     instance,
                     round,
                     batch,
-                    decisions: Arc::new(Vec::new()),
+                    decisions: Rc::new(Vec::new()),
                     gc_upto: InstanceId(0),
                     skip: 0,
                     mask: ALL_PARTITIONS,
@@ -1699,7 +1698,7 @@ impl MRingProcess {
         let batch: Batch = BatchData::empty();
         c.outstanding.insert(instance, (batch.clone(), ctx.now(), ALL_PARTITIONS));
         c.logical_count += weight;
-        let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
+        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
         if let Some(a) = self.acc.as_mut() {
@@ -1979,7 +1978,7 @@ impl Actor for MRingProcess {
                             instance,
                             round,
                             batch,
-                            decisions: Arc::new(Vec::new()),
+                            decisions: Rc::new(Vec::new()),
                             gc_upto: InstanceId(0),
                             skip,
                             mask,

@@ -1,11 +1,11 @@
 //! Wire messages of the Ring Paxos protocols.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use paxos::msg::{InstanceId, Round};
 use simnet::ids::NodeId;
 
-use crate::value::{Batch, Value};
+use crate::value::{batch_bytes, Batch, Value};
 
 /// Messages exchanged by M-Ring Paxos processes (Algorithm 2 plus the
 /// engineering machinery of §3.3.4–§3.3.7).
@@ -24,7 +24,7 @@ pub enum MMsg {
         batch: Batch,
         /// Instances decided since the last packet, with each instance's
         /// partition mask (piggybacked DECISION).
-        decisions: Arc<Vec<(InstanceId, u32)>>,
+        decisions: Rc<Vec<(InstanceId, u32)>>,
         /// Acceptors may discard state below this instance (§3.3.7).
         gc_upto: InstanceId,
         /// Logical instances this batch stands for beyond itself:
@@ -52,7 +52,7 @@ pub enum MMsg {
     /// on).
     Decision {
         /// Newly decided instances with their partition masks.
-        instances: Arc<Vec<(InstanceId, u32)>>,
+        instances: Rc<Vec<(InstanceId, u32)>>,
         /// Round in which these instances were decided — learners match
         /// it against the round of their buffered payload, the moral
         /// equivalent of the paper's consensus-on-value-ids (`c-vid`).
@@ -299,6 +299,14 @@ pub enum UMsg {
     },
 }
 
+/// Wire size of a Phase 1B promise carrying `votes`: the control header
+/// plus every revealed vote's payload. Summed in `u64` and clamped to
+/// `u32::MAX`, because a large revealed-vote set overflows `u32`.
+pub(crate) fn phase1b_wire_bytes(ctl_bytes: u32, votes: &[(InstanceId, Round, Batch)]) -> u32 {
+    let total = ctl_bytes as u64 + votes.iter().map(|(_, _, b)| batch_bytes(b)).sum::<u64>();
+    total.min(u32::MAX as u64) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,7 +327,7 @@ mod tests {
             instance: InstanceId(0),
             round: Round::ZERO,
             batch: batch.clone(),
-            decisions: Arc::new(vec![]),
+            decisions: Rc::new(vec![]),
             gc_upto: InstanceId(0),
             skip: 0,
             mask: crate::value::ALL_PARTITIONS,
@@ -327,6 +335,29 @@ mod tests {
         };
         let m2 = m.clone();
         assert!(matches!(m2, MMsg::Phase2a { .. }));
-        assert_eq!(Arc::strong_count(&batch), 3);
+        assert_eq!(Rc::strong_count(&batch), 3);
+    }
+
+    #[test]
+    fn phase1b_wire_bytes_clamps_instead_of_overflowing() {
+        let big = |id| Value {
+            id: MsgId(id),
+            proposer: NodeId(0),
+            seq: id,
+            bytes: u32::MAX / 2 + 1,
+            submitted: Time::ZERO,
+            mask: crate::value::ALL_PARTITIONS,
+        };
+        let vote = |i: u64| {
+            (InstanceId(i), Round::ZERO, crate::value::BatchData::new(vec![big(i), big(i + 100)]))
+        };
+        // Small sets are summed exactly.
+        assert_eq!(phase1b_wire_bytes(32, &[]), 32);
+        let one = crate::value::BatchData::new(vec![Value { bytes: 1000, ..big(7) }]);
+        assert_eq!(phase1b_wire_bytes(32, &[(InstanceId(0), Round::ZERO, one)]), 1032);
+        // Three votes of ~4 GiB each: the byte total exceeds u32::MAX.
+        let votes: Vec<_> = (0..3).map(vote).collect();
+        assert!(votes.iter().map(|(_, _, b)| batch_bytes(b)).sum::<u64>() > u32::MAX as u64);
+        assert_eq!(phase1b_wire_bytes(32, &votes), u32::MAX);
     }
 }

@@ -733,6 +733,10 @@ impl URingProcess {
                     fresh.push(*v);
                 }
             }
+            let evicted = l.delivered.take_evictions();
+            if evicted != 0 {
+                ctx.counter_add(crate::dedup::DEDUP_EVICT, evicted);
+            }
             if let Some(rec) = self.rec.as_mut() {
                 rec.cache.record(delivered_instance, b.clone());
                 rec.delivered_count += fresh.len() as u64;
@@ -1083,9 +1087,7 @@ impl URingProcess {
             return;
         }
         let (votes, decided_below) = self.own_votes(round);
-        let wire = (self.cfg.ctl_bytes as u64
-            + votes.iter().map(|(_, _, b)| batch_bytes(b)).sum::<u64>())
-        .min(u32::MAX as u64) as u32;
+        let wire = crate::msg::phase1b_wire_bytes(self.cfg.ctl_bytes, &votes);
         ctx.tcp_send(from, UMsg::Phase1b { round, from: self.me, votes, decided_below }, wire);
     }
 

@@ -1,5 +1,5 @@
-//! Dispatch layer: the event vocabulary, the round-robin shard executor,
-//! and the actor run loop (including batched delivery coalescing).
+//! Dispatch layer: the event vocabulary and the actor run loop
+//! (including batched delivery coalescing).
 //!
 //! # Layer boundary
 //!
@@ -8,35 +8,25 @@
 //! and the [`Sim`] run loop (`run_until` / `step` / `deliver_run`). It
 //! is the only layer that touches actors.
 //!
-//! # Shard-safety invariants
-//!
-//! Every `step` drains the cross-shard inboxes, then merges the
-//! per-shard queue minima in fixed shard order and dispatches the
-//! globally smallest `(time, seq)` key — reproducing the single-queue
-//! pop sequence exactly for any partition (see [`crate::shard`]).
-//! [`EnvId`]s are *shard-local* slab indices: handlers receive the
-//! owning shard index from the merge and must not resolve an `EnvId`
-//! against any other shard. Delivery-run coalescing peeks only the
-//! destination's shard, guarded by
-//! [`SimInner::earlier_event_elsewhere`] so a run never swallows an
-//! event another shard should have dispatched first. Cross-shard events
-//! buffered in inboxes during a run are provably never coalescing
-//! candidates: they carry sequence numbers allocated *after* the run's
-//! candidate, so even at an identical timestamp the single-queue engine
-//! would order them behind it.
+//! Each `step` pops the queue's minimum `(time, seq)` event and
+//! dispatches it; a `Deliver` additionally drains the rest of its
+//! same-instant run for the same destination (see the `sim` module
+//! docs, "Batched delivery dispatch"). Any event that ends the run —
+//! another destination, a later instant, or a non-delivery — stays
+//! queued for the next step, so the dispatch order is exactly the
+//! queue's pop order.
 
 use crate::ids::{NodeId, TimerToken};
 use crate::sim::{Ctx, Envelope, Sim, SimInner, Transport};
 use crate::stats::mid;
 use crate::time::Time;
 
-/// Index of a queued [`Envelope`] in its shard's envelope slab. Only
+/// Index of a queued [`Envelope`] in the engine's envelope slab. Only
 /// this 4-byte handle moves between the `HostArrive` and `Deliver`
-/// queue entries. Shard-local: meaningful only together with the shard
-/// index the executor's merge supplies.
+/// queue entries.
 pub(crate) type EnvId = u32;
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum EventKind {
     /// Datagram reached the destination host NIC (after its downlink).
     HostArrive(EnvId),
@@ -44,41 +34,30 @@ pub(crate) enum EventKind {
     Deliver(EnvId),
     /// Actor timer.
     Timer { node: NodeId, token: TimerToken },
-    /// TCP acknowledgement returned to the sender; frees window space.
-    /// `seq` is the channel's delivery sequence number, so duplicate or
-    /// late acks are detected instead of silently skewing `in_flight`;
-    /// `epoch` is the channel incarnation that sent the segment, so acks
-    /// from before a crash-reset cannot corrupt the reset channel.
-    TcpAck { src: NodeId, dst: NodeId, bytes: u32, seq: u64, epoch: u32 },
+    /// TCP acknowledgement returned to the sender of channel `slot`;
+    /// frees window space. `seq` is the channel's delivery sequence
+    /// number, so duplicate or late acks are detected instead of silently
+    /// skewing `in_flight`; `epoch` is the channel incarnation that sent
+    /// the segment, so acks from before a crash-reset cannot corrupt the
+    /// reset channel.
+    TcpAck { slot: u32, bytes: u32, epoch: u32, seq: u64 },
     /// A disk write issued by `node` completed.
     DiskDone { node: NodeId, token: TimerToken },
-    /// Fast mode only: switch egress toward `id`'s destination,
-    /// relocated from the sender's shard to the destination's so the
-    /// downlink port clock has a single writer. Scheduled at
-    /// `arrive + one_way_latency` (the earliest instant that respects
-    /// the lookahead bound); the handler reconstructs the true
-    /// switch-arrival instant from `arrive`, applies the backlog check
-    /// and port-clock advance there, and files `HostArrive` (plus a
-    /// duplicate copy when `dup`). `hold` is the reorder hold drawn at
-    /// the sender. Never created in determinism mode.
-    SwitchArrive { id: EnvId, arrive: Time, hold: crate::time::Dur, dup: bool },
 }
 
 impl SimInner {
     /// Datagram reached the destination host NIC: socket-buffer check,
     /// receive-cost charge, and the push of the `Deliver` completion.
-    /// `sh` is the destination's shard (where the envelope is interned);
-    /// everything this handler touches lives there. The envelope body
-    /// never moves — only its slab index travels into the `Deliver`
-    /// event. Kept `#[inline]` (with `deliver_prework`) so the UDP
-    /// datagram sequence compiles to one straight-line path through the
-    /// run loop, per the `simcore` criterion group.
+    /// The envelope body never moves — only its slab index travels into
+    /// the `Deliver` event. Kept `#[inline]` (with `deliver_prework`) so
+    /// the UDP datagram sequence compiles to one straight-line path
+    /// through the run loop, per the `simcore` criterion group.
     #[inline]
-    pub(crate) fn host_arrive(&mut self, sh: usize, id: EnvId) {
-        let env = self.shards[sh].envs.get(id);
+    pub(crate) fn host_arrive(&mut self, id: EnvId) {
+        let env = self.envs.get(id);
         let (dst, wire_bytes, transport) = (env.dst, env.wire_bytes, env.transport);
         if !self.node(dst).up {
-            drop(self.shards[sh].envs.take(id));
+            drop(self.envs.take(id));
             return;
         }
         if transport != Transport::Tcp {
@@ -91,27 +70,23 @@ impl SimInner {
             if n.socket_used + wire_bytes as u64 > cap as u64 {
                 self.metrics.add_id(dst, mid::NET_SOCKET_DROP, 1);
                 self.metrics.add_id(dst, mid::NET_SOCKET_DROP_BYTES, wire_bytes as u64);
-                drop(self.shards[sh].envs.take(id));
+                drop(self.envs.take(id));
                 return;
             }
             self.node_mut(dst).socket_used += wire_bytes as u64;
         }
-        let cost = self.costs_for(sh, wire_bytes).recv;
+        let cost = self.costs_for(wire_bytes).recv;
         let now = self.now;
         let done = self.charge_core(dst, 0, now, cost);
-        let seq = self.next_seq();
-        self.shards[sh].queue.push(done, seq, EventKind::Deliver(id));
+        self.schedule(done, EventKind::Deliver(id));
     }
 
     /// Per-envelope engine work of a delivery — socket drain, receive
     /// metrics, TCP ack generation — run in exact pop order *before* the
-    /// actor sees the envelope (or its batch slice). `sh` is the
-    /// destination's shard; the ack (if any) targets the *sender's*
-    /// shard and is routed through the handoff inbox when that differs.
-    /// Returns whether the envelope should reach the actor (`false`:
-    /// the node is down).
+    /// actor sees the envelope (or its batch slice). Returns whether the
+    /// envelope should reach the actor (`false`: the node is down).
     #[inline]
-    pub(crate) fn deliver_prework(&mut self, sh: usize, env: &Envelope) -> bool {
+    pub(crate) fn deliver_prework(&mut self, env: &Envelope) -> bool {
         let dst = env.dst;
         if env.transport != Transport::Tcp {
             let n = self.node_mut(dst);
@@ -127,27 +102,16 @@ impl SimInner {
             self.probe_record(dst, crate::probe::code::NET_RECV, arg);
         }
         if env.transport == Transport::Tcp {
-            let slot = match self.tcp_rx_slot(env.src, dst) {
-                Some(slot) => Some(slot),
-                // Fast mode creates tx halves sender-side only (the rx
-                // arena belongs to another worker); the rx half
-                // materializes here, at first delivery on the
-                // destination's own shard, paired to the epoch that
-                // transmitted the segment.
-                None if self.exec_fast => Some(self.tcp_rx_create(env.src, dst, env.tcp_epoch)),
-                None => None,
-            };
-            match slot {
+            match self.tcp_slot(env.src, dst) {
                 Some(slot) => {
-                    let ch = &mut self.shards[sh].tcp_rx[slot];
+                    let ch = &mut self.tcp[slot];
                     if env.tcp_epoch == ch.epoch {
                         let seg = ch.delivered_segs;
                         ch.delivered_segs += 1;
                         let epoch = ch.epoch;
                         let ack_at = self.now + self.config.one_way_latency;
-                        let (src, bytes) = (env.src, env.wire_bytes);
-                        let ack = EventKind::TcpAck { src, dst, bytes, seq: seg, epoch };
-                        self.push_routed(sh, src, ack_at, ack);
+                        let (slot, bytes) = (slot as u32, env.wire_bytes);
+                        self.schedule(ack_at, EventKind::TcpAck { slot, bytes, epoch, seq: seg });
                     } else {
                         // Orphan segment: it was in flight across a
                         // crash-reset of its channel, so its bytes were
@@ -178,11 +142,7 @@ impl Sim {
     /// deadline even if the queue drains first.
     pub fn run_until(&mut self, deadline: Time) {
         self.ensure_started();
-        if self.threaded_eligible() {
-            self.run_threaded(deadline);
-        } else {
-            while self.step(deadline) {}
-        }
+        while self.step(deadline) {}
         self.inner.now = self.inner.now.max(deadline);
     }
 
@@ -194,19 +154,17 @@ impl Sim {
 
     /// Pops and dispatches the next due event (plus, for deliveries, the
     /// rest of its same-instant run). Returns `false` once nothing at or
-    /// before `deadline` remains. The inbox drain precedes the merge, so
-    /// handed-off events are never invisible to the deadline check.
+    /// before `deadline` remains.
     #[inline]
     fn step(&mut self, deadline: Time) -> bool {
-        self.inner.drain_inboxes();
-        let Some((sh, pos)) = self.inner.merge_min() else { return false };
+        let Some(pos) = self.inner.queue.find_min() else { return false };
         if pos.time > deadline {
             return false;
         }
-        let (time, kind) = self.inner.shards[sh].queue.take_at(pos);
+        let (time, kind) = self.inner.queue.take_at(pos);
         self.inner.now = time;
         self.inner.events += 1;
-        self.dispatch(sh, time, kind);
+        self.dispatch(time, kind);
         true
     }
 
@@ -215,30 +173,24 @@ impl Sim {
     /// to the actor in a single callback. Engine prework runs per
     /// envelope in exact pop order first; see the `sim` module docs
     /// ("Batched delivery dispatch") for the precise equivalence to
-    /// unbatched dispatch. `sh` is the destination's shard: every
-    /// `Deliver` for `dst` lives there, so probing that queue plus the
-    /// `earlier_event_elsewhere` guard reproduces the single-queue
-    /// run-break decisions exactly.
-    fn deliver_run(&mut self, sh: usize, time: Time, first: EnvId) {
+    /// unbatched dispatch.
+    fn deliver_run(&mut self, time: Time, first: EnvId) {
         let mut inbox = std::mem::take(&mut self.inbox);
         debug_assert!(inbox.is_empty());
-        let env = self.inner.shards[sh].envs.take(first);
+        let env = self.inner.envs.take(first);
         let dst = env.dst;
-        if self.inner.deliver_prework(sh, &env) {
+        if self.inner.deliver_prework(&env) {
             inbox.push(env);
         }
-        while let Some(pos) = self.inner.shards[sh].queue.find_same_time(time) {
-            let EventKind::Deliver(id) = *self.inner.shards[sh].queue.kind_at(pos) else { break };
-            if self.inner.shards[sh].envs.get(id).dst != dst {
+        while let Some(pos) = self.inner.queue.find_same_time(time) {
+            let EventKind::Deliver(id) = *self.inner.queue.kind_at(pos) else { break };
+            if self.inner.envs.get(id).dst != dst {
                 break;
             }
-            if self.inner.earlier_event_elsewhere(sh, time, pos.seq) {
-                break;
-            }
-            let _ = self.inner.shards[sh].queue.take_at(pos);
+            let _ = self.inner.queue.take_at(pos);
             self.inner.events += 1;
-            let env = self.inner.shards[sh].envs.take(id);
-            if self.inner.deliver_prework(sh, &env) {
+            let env = self.inner.envs.take(id);
+            if self.inner.deliver_prework(&env) {
                 inbox.push(env);
             }
         }
@@ -259,10 +211,10 @@ impl Sim {
         self.inbox = inbox;
     }
 
-    pub(crate) fn dispatch(&mut self, sh: usize, time: Time, kind: EventKind) {
+    pub(crate) fn dispatch(&mut self, time: Time, kind: EventKind) {
         match kind {
-            EventKind::HostArrive(id) => self.inner.host_arrive(sh, id),
-            EventKind::Deliver(id) => self.deliver_run(sh, time, id),
+            EventKind::HostArrive(id) => self.inner.host_arrive(id),
+            EventKind::Deliver(id) => self.deliver_run(time, id),
             EventKind::Timer { node, token } => {
                 if !self.inner.node(node).up {
                     return;
@@ -276,37 +228,34 @@ impl Sim {
                     self.actors[node.0] = Some(actor);
                 }
             }
-            EventKind::TcpAck { src, dst, bytes, seq, epoch } => {
-                // Executes on the sender's shard (`sh`), where the tx
-                // half lives.
-                debug_assert_eq!(sh, self.inner.shard_idx(src));
-                if let Some(slot) = self.inner.tcp_tx_slot(src, dst) {
-                    let ch = &mut self.inner.shards[sh].tcp_tx[slot];
-                    if epoch != ch.epoch {
-                        // Ack from before a crash-reset: the bytes it
-                        // acknowledges were already written off.
-                        self.inner.metrics.add_id(src, mid::NET_TCP_STALE_ACK, 1);
-                        return;
-                    }
-                    if seq != ch.acked_segs {
-                        // Duplicate or late ack: ignoring it keeps
-                        // `in_flight` exact (subtracting again would
-                        // drive it negative / stall the window).
-                        self.inner.metrics.add_id(src, mid::NET_TCP_DUP_ACK, 1);
-                        return;
-                    }
-                    ch.acked_segs += 1;
-                    if ch.in_flight >= bytes {
-                        ch.in_flight -= bytes;
-                    } else {
-                        // The segment crossed a crash-reset (it was in the
-                        // receive pipeline when the node bounced): its
-                        // bytes were already written off by the reset.
-                        ch.in_flight = 0;
-                        self.inner.metrics.add_id(src, mid::NET_TCP_STALE_ACK, 1);
-                    }
+            EventKind::TcpAck { slot, bytes, epoch, seq } => {
+                let slot = slot as usize;
+                let ch = &mut self.inner.tcp[slot];
+                let src = ch.src;
+                if epoch != ch.epoch {
+                    // Ack from before a crash-reset: the bytes it
+                    // acknowledges were already written off.
+                    self.inner.metrics.add_id(src, mid::NET_TCP_STALE_ACK, 1);
+                    return;
                 }
-                self.inner.tcp_pump(src, dst);
+                if seq != ch.acked_segs {
+                    // Duplicate or late ack: ignoring it keeps
+                    // `in_flight` exact (subtracting again would
+                    // drive it negative / stall the window).
+                    self.inner.metrics.add_id(src, mid::NET_TCP_DUP_ACK, 1);
+                    return;
+                }
+                ch.acked_segs += 1;
+                if ch.in_flight >= bytes {
+                    ch.in_flight -= bytes;
+                } else {
+                    // The segment crossed a crash-reset (it was in the
+                    // receive pipeline when the node bounced): its
+                    // bytes were already written off by the reset.
+                    ch.in_flight = 0;
+                    self.inner.metrics.add_id(src, mid::NET_TCP_STALE_ACK, 1);
+                }
+                self.inner.tcp_pump(slot);
             }
             EventKind::DiskDone { node, token } => {
                 if !self.inner.node(node).up {
@@ -320,9 +269,6 @@ impl Sim {
                     actor.on_timer(token, &mut ctx);
                     self.actors[node.0] = Some(actor);
                 }
-            }
-            EventKind::SwitchArrive { id, arrive, hold, dup } => {
-                self.inner.switch_arrive(sh, id, arrive, hold, dup);
             }
         }
     }

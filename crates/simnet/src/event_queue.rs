@@ -3,16 +3,13 @@
 //!
 //! # Layer boundary
 //!
-//! This module knows nothing about the simulation: it stores opaque
-//! payloads of type `T` keyed by `(Time, seq)` and pops them in exact key
-//! order. Each [`crate::shard::ShardState`] owns one `EventQueue`, so the
-//! type must be (and is) free of shared or global state — the shard
-//! executor merges per-shard minima by key, and a future worker thread
-//! can own a whole queue without synchronization.
+//! This module knows nothing about the simulation: it stores small
+//! `Copy` payloads of type `T` inline, keyed by `(Time, seq)`, and pops
+//! them in exact key order. The engine owns exactly one `EventQueue`.
 //!
 //! # Why a calendar
 //!
-//! Every simulated packet passes through its shard's queue twice (host
+//! Every simulated packet passes through the queue twice (host
 //! arrival, delivery). A binary heap pays an O(log n) sift on every push
 //! and pop; a calendar queue [Brown 1988] files each event in the bucket
 //! covering its timestamp — `buckets[(time >> BUCKET_SHIFT) & BUCKET_MASK]`
@@ -20,16 +17,21 @@
 //!
 //! # Intra-bucket order: O(1) pop
 //!
-//! Buckets are kept sorted ascending by `(time, seq)` *on push* behind a
-//! consumed-prefix cursor ([`Bucket::head`]): push binary-searches the
-//! live region (an append when keys arrive in order, which is the common
-//! case — same-instant bursts carry increasing `seq`), and pop takes the
-//! bucket head without scanning. This replaces the per-pop
-//! minimum-of-bucket scan *and* the "hot bucket" extract-and-sort side
-//! stack the previous design needed for same-timestamp bursts: a burst
-//! of k co-located events now costs k appends and k O(1) pops, and the
+//! Buckets are ring buffers kept sorted ascending by `(time, seq)` *on
+//! push*: push binary-searches the bucket (an append when keys arrive in
+//! order, which is the common case — same-instant bursts carry
+//! increasing `seq`), and pop takes the front without scanning. A burst
+//! of k co-located events costs k appends and k O(1) pops, and the
 //! rewind path (a driver injecting work behind a parked scan) is just a
 //! scan-position reset — sorted buckets need no flush protocol.
+//!
+//! # Skipping empty slots
+//!
+//! The queue is usually shallow: a 5-process U-Ring broadcast holds ~23
+//! pending events on average, and a slot-by-slot scan probed ~3 empty
+//! buckets per pop, each a likely cache miss. An occupancy bitmap (one
+//! bit per bucket) lets the scan jump straight to the next occupied
+//! slot with a word-wise trailing-zeros search.
 //!
 //! # Bucket-width heuristic
 //!
@@ -40,14 +42,20 @@
 //! 50 µs one-way latency — so pending packet events live 10–200 µs ahead
 //! of `now`. A 4.096 µs bucket spreads that horizon over ~10–50 buckets,
 //! keeping per-bucket occupancy at a few events even with tens of
-//! thousands of packets in flight, while ms-scale protocol timers still
-//! fall inside the ~33.6 ms "year". Only rare long timers (suspicion,
-//! GC, heartbeats) overflow to the heap, whose O(log n) cost is then
-//! paid per *timer*, not per packet.
+//! thousands of packets in flight.
+//!
+//! The bucket *count* trades coverage against footprint. Every push and
+//! pop touches a bucket, so the calendar must stay cache-resident: 1024
+//! buckets (a ~4.2 ms "year", still covering the packet pipeline and the
+//! pacing timers) ran the U-Ring broadcast benchmark in ~0.75× the wall
+//! time of 8192 buckets (33.6 ms) on a 2-vCPU Xeon, and the session
+//! workloads faster too.
+//! Longer timers (retries, suspicion, GC, heartbeats) overflow to the
+//! heap, whose O(log n) cost is paid per *timer*, not per packet.
 //!
 //! # Determinism
 //!
-//! Keys are unique (`seq` increments per push, globally across shards),
+//! Keys are unique (`seq` increments per push),
 //! and [`EventQueue::find_min`] always returns the minimum `(time, seq)`
 //! key in this queue: events with the current scan slot's timestamp can
 //! only live at that slot's bucket head, earlier slots have been
@@ -56,14 +64,13 @@
 //! therefore unobservable, and any run is bit-for-bit reproducible from
 //! its seed.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::Time;
 
-/// Recycling slab with a free list: the storage pattern behind both the
-/// event queue's payloads and the engine's per-shard `Envelope` bodies
-/// (see `sim` module docs, "Envelope slab"). Slot indices are dense
-/// `u32`s and freed slots are reused immediately.
+/// Recycling slab with a free list: the storage behind the engine's
+/// queued `Envelope` bodies (see `sim` module docs, "Envelope slab").
+/// Slot indices are dense `u32`s and freed slots are reused immediately.
 pub(crate) struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
@@ -104,45 +111,40 @@ impl<T> Slab<T> {
         self.free.push(id);
         value
     }
-
-    /// Whether no values are currently filed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.slots.len() == self.free.len()
-    }
 }
 
-/// Compact ordering key for one queued event. The payload lives in the
-/// queue's slab; only these 24 bytes move within buckets.
+/// One queued event: its ordering key and its (small, `Copy`) payload,
+/// stored inline so push and pop touch only the bucket.
 #[derive(Clone, Copy)]
-struct EventKey {
+struct Entry<T> {
     time: Time,
     seq: u64,
-    slot: u32,
+    kind: T,
 }
 
-impl EventKey {
+impl<T> Entry<T> {
     #[inline]
     fn key(&self) -> (Time, u64) {
         (self.time, self.seq)
     }
 }
 
-impl PartialEq for EventKey {
-    fn eq(&self, other: &EventKey) -> bool {
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Entry<T>) -> bool {
         self.key() == other.key()
     }
 }
 
-impl Eq for EventKey {}
+impl<T> Eq for Entry<T> {}
 
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &EventKey) -> Option<std::cmp::Ordering> {
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Entry<T>) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for EventKey {
-    fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Entry<T>) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
     }
 }
@@ -150,116 +152,121 @@ impl Ord for EventKey {
 /// Position of the minimum queued event, as located by
 /// [`EventQueue::find_min`] or [`EventQueue::find_same_time`]. Valid
 /// until the next `push` or `take_at`; the event sits at the head of the
-/// current scan slot's bucket. `seq` is exposed so the shard executor
-/// can merge minima from several queues in exact global key order.
+/// current scan slot's bucket.
 #[derive(Clone, Copy)]
 pub(crate) struct MinPos {
     pub(crate) time: Time,
-    pub(crate) seq: u64,
-    /// Slab slot of the event's payload (for peeking).
-    pub(crate) slot: u32,
+    seq: u64,
 }
 
 /// Virtual-time width of one calendar bucket, as a power of two:
 /// `1 << BUCKET_SHIFT` nanoseconds (4.096 µs).
 const BUCKET_SHIFT: u32 = 12;
 /// Number of calendar buckets (a power of two). One "year" —
-/// `BUCKET_COUNT << BUCKET_SHIFT` — spans ~33.6 ms of virtual time.
-const BUCKET_COUNT: usize = 1 << 13;
+/// `BUCKET_COUNT << BUCKET_SHIFT` — spans ~4.2 ms of virtual time.
+const BUCKET_COUNT: usize = 1 << 10;
 const BUCKET_MASK: u64 = BUCKET_COUNT as u64 - 1;
+/// Entries an empty bucket may keep allocated. Packet-pipeline buckets
+/// hold a handful of events at a time and keep their buffers; a bucket
+/// that absorbed a burst releases it once drained.
+const BUCKET_RETAIN: usize = 8;
 
-/// One calendar bucket: entries in `items[head..]` sorted ascending by
-/// `(time, seq)`; `items[..head]` is the consumed prefix, compacted away
-/// once it dominates the allocation.
-#[derive(Default)]
-struct Bucket {
-    items: Vec<EventKey>,
-    head: usize,
+/// One calendar bucket: a ring buffer of entries sorted ascending by
+/// `(time, seq)`. Its capacity tracks the most entries it ever held at
+/// once, not how many passed through it.
+struct Bucket<T> {
+    items: VecDeque<Entry<T>>,
 }
 
-impl Bucket {
+// Manual impl: `derive` would needlessly require `T: Default`.
+impl<T> Default for Bucket<T> {
+    fn default() -> Bucket<T> {
+        Bucket { items: VecDeque::new() }
+    }
+}
+
+impl<T: Copy> Bucket<T> {
     #[inline]
-    fn peek(&self) -> Option<&EventKey> {
-        self.items.get(self.head)
+    fn peek(&self) -> Option<&Entry<T>> {
+        self.items.front()
     }
 
-    /// Files `e` keeping the live region sorted. Appends when `e` is the
-    /// new maximum (the common case: co-located bursts push increasing
+    /// Files `e` keeping the bucket sorted. Appends when `e` is the new
+    /// maximum (the common case: co-located bursts push increasing
     /// `seq`, and a bucket's events are mostly created in time order);
-    /// otherwise binary-searches the live region.
+    /// otherwise binary-searches for its place.
     #[inline]
-    fn insert(&mut self, e: EventKey) {
-        if self.items.last().is_none_or(|last| last.key() < e.key()) {
-            self.items.push(e);
+    fn insert(&mut self, e: Entry<T>) {
+        if self.items.back().is_none_or(|last| last.key() < e.key()) {
+            self.items.push_back(e);
             return;
         }
-        let pos = self.items[self.head..].partition_point(|x| x.key() < e.key());
-        self.items.insert(self.head + pos, e);
+        let pos = self.items.partition_point(|x| x.key() < e.key());
+        self.items.insert(pos, e);
     }
 
-    /// Removes and returns the bucket minimum (the head). O(1); the
-    /// consumed prefix is dropped lazily once it is at least half the
-    /// vector, keeping compaction cost amortized constant.
+    /// Removes and returns the bucket minimum (the front). O(1). A
+    /// bucket that empties gives back an allocation larger than
+    /// [`BUCKET_RETAIN`] entries, so the calendar's footprint follows the
+    /// live event count rather than every bucket's all-time peak.
     #[inline]
-    fn pop_head(&mut self) -> EventKey {
-        let e = self.items[self.head];
-        self.head += 1;
-        if self.head == self.items.len() {
-            self.items.clear();
-            self.head = 0;
-        } else if self.head >= 64 && self.head * 2 >= self.items.len() {
-            self.items.drain(..self.head);
-            self.head = 0;
+    fn pop_head(&mut self) -> Entry<T> {
+        let e = self.items.pop_front().expect("pop from an occupied bucket");
+        if self.items.is_empty() && self.items.capacity() > BUCKET_RETAIN {
+            self.items = VecDeque::new();
         }
         e
     }
 }
 
-/// A calendar queue of `(Time, seq)`-keyed events over a slab of opaque
-/// payloads, with a binary-heap overflow for far-future entries. See the
-/// module docs for the design rationale.
+/// A calendar queue of `(Time, seq)`-keyed events carrying small `Copy`
+/// payloads inline, with a binary-heap overflow for far-future entries.
+/// See the module docs for the design rationale.
 pub(crate) struct EventQueue<T> {
     /// Calendar buckets; `buckets[vslot & BUCKET_MASK]` holds events
     /// whose `time >> BUCKET_SHIFT == vslot` for vslots within roughly
     /// one year of the scan position (older years sort first, so the
     /// bucket head is always the bucket minimum).
-    buckets: Vec<Bucket>,
+    buckets: Vec<Bucket<T>>,
+    /// Occupancy bitmap over `buckets`: bit `i` is set iff bucket `i`
+    /// holds an entry, so the scan jumps straight to the next occupied
+    /// slot instead of probing empty buckets one by one.
+    occupied: Vec<u64>,
     /// Current scan slot: no bucketed event's vslot is below it.
     cur_vslot: u64,
     /// Events currently filed in the calendar.
     in_buckets: usize,
     /// Far-future events (≥ one year ahead at push time), ordered by
     /// `(time, seq)`; migrated into the calendar as the scan approaches.
-    overflow: BinaryHeap<std::cmp::Reverse<EventKey>>,
+    overflow: BinaryHeap<std::cmp::Reverse<Entry<T>>>,
     /// Memoized result of the last [`EventQueue::find_min`], so the run
-    /// loop's peek-then-maybe-pop pattern (delivery-run coalescing, the
-    /// shard executor's per-step merge) never re-walks the scan.
+    /// run loop's peek-then-maybe-pop pattern (a deadline check that
+    /// leaves the event queued) never re-walks the scan.
     /// Invalidated by any push or take.
     memo: Option<MinPos>,
-    /// The queued events' payloads; bucket entries carry slot indices.
-    slab: Slab<T>,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> EventQueue<T> {
         EventQueue {
             buckets: (0..BUCKET_COUNT).map(|_| Bucket::default()).collect(),
+            occupied: vec![0; BUCKET_COUNT / 64],
             cur_vslot: 0,
             in_buckets: 0,
             overflow: BinaryHeap::new(),
             memo: None,
-            slab: Slab::default(),
         }
     }
 }
 
-impl<T> EventQueue<T> {
+impl<T: Copy> EventQueue<T> {
     #[inline]
     fn vslot(time: Time) -> u64 {
         time.as_nanos() >> BUCKET_SHIFT
     }
 
     /// Whether no events are queued (calendar and overflow both empty).
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.in_buckets == 0 && self.overflow.is_empty()
     }
@@ -267,8 +274,7 @@ impl<T> EventQueue<T> {
     #[inline]
     pub(crate) fn push(&mut self, time: Time, seq: u64, kind: T) {
         self.memo = None;
-        let slot = self.slab.insert(kind);
-        let entry = EventKey { time, seq, slot };
+        let entry = Entry { time, seq, kind };
         let vslot = Self::vslot(time);
         if vslot >= self.cur_vslot + BUCKET_COUNT as u64 {
             self.overflow.push(std::cmp::Reverse(entry));
@@ -276,8 +282,7 @@ impl<T> EventQueue<T> {
         }
         // An event behind the scan position (possible when a driver
         // injects work after `run_until` parked the scan on a far-future
-        // timer, or when another shard hands off an event while this
-        // shard's scan sits ahead): rewind so the scan cannot miss it.
+        // timer): rewind so the scan cannot miss it.
         // Buckets stay sorted, so unlike the earlier extract-and-sort
         // design there is no side state to flush — the reset alone
         // restores the scan invariant. Buckets may then transiently hold
@@ -286,8 +291,38 @@ impl<T> EventQueue<T> {
         if vslot < self.cur_vslot {
             self.cur_vslot = vslot;
         }
-        self.buckets[(vslot & BUCKET_MASK) as usize].insert(entry);
+        self.file(vslot, entry);
+    }
+
+    /// Files `e` (whose slot is `vslot`) into its calendar bucket.
+    #[inline]
+    fn file(&mut self, vslot: u64, e: Entry<T>) {
+        let idx = (vslot & BUCKET_MASK) as usize;
+        self.buckets[idx].insert(e);
+        self.occupied[idx >> 6] |= 1 << (idx & 63);
         self.in_buckets += 1;
+    }
+
+    /// The first slot after `cur` whose bucket is occupied (at most one
+    /// year ahead: `cur`'s own bucket, if occupied, is found again at
+    /// `cur + BUCKET_COUNT`). Requires a non-empty calendar.
+    #[inline]
+    fn next_occupied_after(&self, cur: u64) -> u64 {
+        let start = ((cur + 1) & BUCKET_MASK) as usize;
+        let words = self.occupied.len();
+        let mut w = start >> 6;
+        let mut bits = self.occupied[w] & (!0u64 << (start & 63));
+        // One extra word revisits the start word's low bits after the wrap.
+        for _ in 0..=words {
+            if bits != 0 {
+                let idx = (w << 6) | bits.trailing_zeros() as usize;
+                let dist = idx.wrapping_sub(start) & (BUCKET_COUNT - 1);
+                return cur + 1 + dist as u64;
+            }
+            w = (w + 1) % words;
+            bits = self.occupied[w];
+        }
+        unreachable!("next_occupied_after on an empty calendar")
     }
 
     /// Migrates overflow events that now fall within one year of the scan
@@ -299,8 +334,7 @@ impl<T> EventQueue<T> {
                 return;
             }
             let std::cmp::Reverse(e) = self.overflow.pop().expect("peeked");
-            self.buckets[(Self::vslot(e.time) & BUCKET_MASK) as usize].insert(e);
-            self.in_buckets += 1;
+            self.file(Self::vslot(e.time), e);
         }
     }
 
@@ -332,7 +366,7 @@ impl<T> EventQueue<T> {
         }
         self.drain_overflow();
         debug_assert!(self.in_buckets > 0);
-        let mut scanned = 0usize;
+        let mut scanned = 0u64;
         loop {
             let cur = self.cur_vslot;
             // The bucket head is the bucket minimum; it belongs to the
@@ -341,7 +375,7 @@ impl<T> EventQueue<T> {
             // shadow a current-year entry).
             if let Some(&e) = self.buckets[(cur & BUCKET_MASK) as usize].peek() {
                 if Self::vslot(e.time) == cur {
-                    let pos = MinPos { time: e.time, seq: e.seq, slot: e.slot };
+                    let pos = MinPos { time: e.time, seq: e.seq };
                     self.memo = Some(pos);
                     return Some(pos);
                 }
@@ -350,10 +384,13 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The payload of the event `find_min` located (peek; no removal).
+    /// The payload of the event `find_min`/`find_same_time` located
+    /// (peek; no removal).
     #[inline]
     pub(crate) fn kind_at(&self, pos: MinPos) -> &T {
-        self.slab.get(pos.slot)
+        let e = self.buckets[(self.cur_vslot & BUCKET_MASK) as usize].peek().expect("located");
+        debug_assert_eq!(e.key(), (pos.time, pos.seq));
+        &e.kind
     }
 
     /// Locates the minimum-seq event queued at exactly `time`, given
@@ -369,27 +406,35 @@ impl<T> EventQueue<T> {
             return None; // a push rewound the scan below `time`
         }
         let e = self.buckets[(self.cur_vslot & BUCKET_MASK) as usize].peek()?;
-        (e.time == time).then_some(MinPos { time: e.time, seq: e.seq, slot: e.slot })
+        (e.time == time).then_some(MinPos { time: e.time, seq: e.seq })
     }
 
-    /// Removes the event `find_min`/`find_same_time` located, recycling
-    /// its slab slot. O(1): the located event is the current bucket head.
+    /// Removes the event `find_min`/`find_same_time` located. O(1): the
+    /// located event is the current bucket head.
     #[inline]
     pub(crate) fn take_at(&mut self, pos: MinPos) -> (Time, T) {
         self.memo = None;
-        let e = self.buckets[(self.cur_vslot & BUCKET_MASK) as usize].pop_head();
-        debug_assert_eq!((e.time, e.seq, e.slot), (pos.time, pos.seq, pos.slot));
+        let idx = (self.cur_vslot & BUCKET_MASK) as usize;
+        let e = self.buckets[idx].pop_head();
+        debug_assert_eq!(e.key(), (pos.time, pos.seq));
+        if self.buckets[idx].peek().is_none() {
+            self.occupied[idx >> 6] &= !(1 << (idx & 63));
+        }
         self.in_buckets -= 1;
-        (e.time, self.slab.take(e.slot))
+        (e.time, e.kind)
     }
 
-    /// Advances the scan one slot, migrating newly-near overflow events
-    /// and taking the sparse-queue jump when a whole year scanned empty.
-    fn advance_slot(&mut self, scanned: &mut usize) {
-        self.cur_vslot += 1;
+    /// Advances the scan to the next occupied slot, migrating newly-near
+    /// overflow events, and takes the sparse-queue jump once a whole
+    /// year has been scanned without a hit. Skipping the empty slots in
+    /// between is safe: every overflow event lies at least one year past
+    /// the scan position, so none can belong to a skipped slot.
+    fn advance_slot(&mut self, scanned: &mut u64) {
+        let next = self.next_occupied_after(self.cur_vslot);
+        *scanned += next - self.cur_vslot;
+        self.cur_vslot = next;
         self.drain_overflow();
-        *scanned += 1;
-        if *scanned > BUCKET_COUNT {
+        if *scanned > BUCKET_COUNT as u64 {
             // Sparse queue: a whole year of empty slots. Jump to the
             // earliest event — bucketed *or* still parked in the
             // overflow heap (jumping past the overflow minimum would
@@ -472,6 +517,24 @@ mod tests {
         }
         assert_eq!(popped.len(), 81, "no event lost or duplicated");
         assert!(popped.windows(2).all(|w| w[0] <= w[1]), "popped out of order: {popped:?}");
+    }
+
+    /// A scan that wraps a full year back onto its own bucket must
+    /// migrate overflow events before reading that bucket's head: an
+    /// overflow event filed for the very slot the scan lands on may
+    /// precede the head already there (left a year ahead by a rewind).
+    #[test]
+    fn scan_landing_a_year_ahead_drains_overflow_first() {
+        let at = |vslot: u64| Time::ZERO + Dur::nanos(vslot << BUCKET_SHIFT);
+        let year = BUCKET_COUNT as u64;
+        let mut q: EventQueue<u64> = EventQueue::default();
+        q.push(at(year / 2), 1, 1);
+        assert_eq!(q.pop_due(Time::MAX).map(|(_, k)| k), Some(1)); // scan parks mid-year
+        q.push(at(10 + year) + Dur::nanos(100), 2, 2); // within a year of the scan: bucketed
+        q.push(at(10), 3, 3); // rewind to slot 10, whose bucket also holds event 2
+        q.push(at(10 + year), 4, 4); // a year past the rewound scan: overflow
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_due(Time::MAX).map(|(_, k)| k)).collect();
+        assert_eq!(order, vec![3, 4, 2]);
     }
 
     /// Virtual-time width of one calendar "year".

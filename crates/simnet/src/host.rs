@@ -7,19 +7,10 @@
 //! This module owns [`Node`] and every operation whose effects stay on
 //! one node: charging CPU, arming timers, issuing disk writes. It knows
 //! nothing about datagrams or TCP (the `net` layer) and nothing about
-//! actors (the `dispatch` layer); it files completions into the owning
-//! shard's event queue through [`crate::sim::SimInner::push_to_node`].
-//!
-//! # Shard-safety invariant
-//!
-//! `Node` structs sit in one flat arena (`SimInner::nodes[id]` — the
-//! hottest load in the engine, kept a single index away), but each is
-//! *owned* by exactly one shard: every event this layer schedules
-//! targets the same node that pays the cost, so host completions never
-//! cross a shard boundary and a threaded executor can hand workers
-//! disjoint subsets of the arena. The one read the `net` layer performs
-//! on a foreign node (`Node::up`, peer liveness) is documented at its
-//! call sites.
+//! actors (the `dispatch` layer); it files completions into the event
+//! queue through [`crate::sim::SimInner::schedule`]. `Node` structs sit
+//! in one flat arena indexed by node id (`SimInner::nodes`) — the
+//! hottest load in the engine, kept a single index away.
 
 use crate::ids::{NodeId, TimerToken};
 use crate::sim::SimInner;
@@ -27,7 +18,6 @@ use crate::stats::mid;
 use crate::time::{Dur, Time};
 
 /// One CPU core: a busy-until clock plus cumulative busy time.
-#[derive(Clone)]
 pub(crate) struct Core {
     pub(crate) free_at: Time,
     pub(crate) busy: Dur,
@@ -35,10 +25,6 @@ pub(crate) struct Core {
 
 /// One simulated machine. Every field is a busy-until resource clock or
 /// a buffer occupancy; the actor running on the node lives in [`crate::sim::Sim`].
-/// `Clone` serves the threaded executor's worker split: each worker gets
-/// a full copy of the arena, writes only the nodes its shards own, and
-/// the owners' copies are merged back (foreign entries are frozen reads).
-#[derive(Clone)]
 pub(crate) struct Node {
     pub(crate) up: bool,
     pub(crate) uplink_free: Time,
@@ -118,7 +104,7 @@ impl SimInner {
     /// Schedules `token` to fire on `node` after `delay`.
     pub fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: TimerToken) {
         let at = self.now() + delay;
-        self.push_to_node(node, at, crate::dispatch::EventKind::Timer { node, token });
+        self.schedule(at, crate::dispatch::EventKind::Timer { node, token });
     }
 
     /// Issues a disk write of `bytes` on `node`; `token` fires on the
@@ -148,7 +134,7 @@ impl SimInner {
         let done = n.disk_free.max(now) + t;
         n.disk_free = done;
         self.metrics.add_id(node, mid::DISK_WRITTEN_BYTES, bytes as u64);
-        self.push_to_node(node, done, crate::dispatch::EventKind::DiskDone { node, token });
+        self.schedule(done, crate::dispatch::EventKind::DiskDone { node, token });
     }
 
     /// Outstanding work queued on `node`'s disk.
@@ -167,7 +153,7 @@ impl SimInner {
     pub fn run_on_core(&mut self, node: NodeId, core: usize, cost: Dur, token: TimerToken) {
         let now = self.now();
         let done = self.charge_core(node, core, now, cost);
-        self.push_to_node(node, done, crate::dispatch::EventKind::Timer { node, token });
+        self.schedule(done, crate::dispatch::EventKind::Timer { node, token });
     }
 
     /// Earliest time `core` of `node` becomes idle.

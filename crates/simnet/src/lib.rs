@@ -12,6 +12,13 @@
 //! bottlenecks the paper analyses, and every run is bit-for-bit
 //! deterministic for a given seed.
 //!
+//! The engine is single-threaded by design: one event queue, one
+//! envelope slab, and non-atomic payload reference counts. Parallelism
+//! *inside* the simulated systems (P-SMR worker threads, multi-core
+//! replicas) is modelled in virtual time by per-core busy clocks, and
+//! independent runs parallelize across OS threads by building one `Sim`
+//! per thread. Neither [`payload::Payload`] nor [`sim::Sim`] is `Send`.
+//!
 //! ```
 //! use simnet::prelude::*;
 //!
@@ -40,15 +47,10 @@ pub mod ids;
 mod net;
 pub mod payload;
 pub mod probe;
-pub mod shard;
 pub mod sim;
 pub mod stats;
-pub mod threaded;
 pub mod time;
 pub mod wheel;
-
-pub use crate::shard::Partition;
-pub use crate::threaded::ExecMode;
 
 /// Convenient glob import for protocol crates and experiments.
 pub mod prelude {
@@ -56,11 +58,9 @@ pub mod prelude {
     pub use crate::fault::{FaultAction, FaultPlan};
     pub use crate::ids::{GroupId, NodeId, TimerToken};
     pub use crate::payload::Payload;
-    pub use crate::probe::{self, ProbeConfig, ProbeEvent, WorkerTelemetry};
-    pub use crate::shard::Partition;
+    pub use crate::probe::{self, ProbeConfig, ProbeEvent};
     pub use crate::sim::{Actor, Ctx, Envelope, Sim, Transport};
     pub use crate::stats::{mbps, mid, per_sec, LatencyStats, MetricId, Metrics};
-    pub use crate::threaded::ExecMode;
     pub use crate::time::{Dur, Time};
     pub use crate::wheel::TimerWheel;
 }

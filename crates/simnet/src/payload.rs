@@ -36,26 +36,22 @@
 //! payloads (beyond the largest class) bypass the arena and use the
 //! global allocator directly.
 //!
-//! # Thread safety
+//! # Single-threaded by construction
 //!
-//! The threaded shard executor (see `shard`/`threaded`) moves payloads
-//! between worker threads at cross-shard handoff boundaries, and an
-//! in-flight clone (e.g. a TCP retransmit copy) can be observed from two
-//! workers at once. Blocks therefore use an atomic reference count, the
-//! wrapped value must be `Send + Sync`, and `Payload` is `Send + Sync`,
-//! exactly like the `Arc` it now mirrors. Allocation stays thread-local
-//! (each worker bumps its own chunks); a block freed on a different
-//! thread than it was allocated on simply joins the freeing thread's
-//! free list — safe because chunks are never returned to the allocator,
-//! so the backing memory outlives every thread that can hold a handle.
+//! The simulator runs each [`crate::sim::Sim`] on one thread, so a
+//! payload's reference count is a plain [`Cell`] — no atomic
+//! read-modify-write on clone or drop — and `Payload` is neither `Send`
+//! nor `Sync`. The compiler enforces the pairing: a handle can never
+//! reach another thread, where a racing non-atomic count (or a block
+//! freed into the wrong thread's pool) would be unsound. Wrapped values
+//! may be `!Send` themselves (`Rc`-shared batches, for instance).
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::mem::{align_of, size_of};
 use std::ptr::NonNull;
-use std::sync::atomic::{fence, AtomicU32, Ordering};
 
 /// Block size classes (bytes), header included. Chosen to cover the
 /// protocol message enums in use: most fit the first two classes.
@@ -72,7 +68,7 @@ const CHUNK_SIZE: usize = 64 * 1024;
 /// Header at the start of every payload block; the value lives at
 /// `offset` bytes from the block start.
 struct Header {
-    strong: AtomicU32,
+    strong: Cell<u32>,
     /// Size-class index, or [`CLASS_GLOBAL`].
     class: u8,
     /// Byte offset of the value within the block.
@@ -169,18 +165,20 @@ unsafe fn drop_value_of<T>(h: *mut Header) {
 
 /// A reference-counted, dynamically-typed message body backed by the
 /// thread-local payload arena.
+///
+/// The count is non-atomic, so a `Payload` must never cross threads
+/// (module docs, "Single-threaded by construction"); the type is not
+/// `Send`, and this must not compile:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simnet::payload::Payload>();
+/// ```
 pub struct Payload(NonNull<Header>);
-
-// SAFETY: the wrapped value is `Send + Sync` (enforced by `Payload::new`),
-// the reference count is atomic, and freed blocks point into chunks that
-// are never deallocated, so handles may move between and be shared across
-// the executor's worker threads (see module docs, "Thread safety").
-unsafe impl Send for Payload {}
-unsafe impl Sync for Payload {}
 
 impl Payload {
     /// Wraps a concrete message value.
-    pub fn new<T: Any + Send + Sync>(value: T) -> Payload {
+    pub fn new<T: Any>(value: T) -> Payload {
         let align = align_of::<T>().max(align_of::<Header>());
         let offset = round_up(size_of::<Header>(), align);
         let total = offset + size_of::<T>();
@@ -198,7 +196,7 @@ impl Payload {
         // disjoint by construction of `offset`.
         unsafe {
             header.write(Header {
-                strong: AtomicU32::new(1),
+                strong: Cell::new(1),
                 class,
                 offset: offset as u32,
                 size: total as u32,
@@ -250,27 +248,22 @@ impl Payload {
 impl Clone for Payload {
     #[inline]
     fn clone(&self) -> Payload {
-        // Relaxed suffices for an increment from a live handle (same
-        // argument as `Arc::clone`). Abort well before the count can
-        // wrap: a wrapped count would free the block under live handles.
-        let n = self.header().strong.fetch_add(1, Ordering::Relaxed);
-        if n > u32::MAX / 2 {
-            std::process::abort();
-        }
+        // Abort rather than wrap: a wrapped count would free the block
+        // under live handles.
+        let strong = &self.header().strong;
+        strong.set(strong.get().checked_add(1).unwrap_or_else(|| std::process::abort()));
         Payload(self.0)
     }
 }
 
 impl Drop for Payload {
     fn drop(&mut self) {
-        // Release on the decrement orders this handle's value accesses
-        // before the free; the Acquire fence on the last decrement
-        // orders the free after every other handle's accesses (the
-        // `Arc::drop` protocol).
-        if self.header().strong.fetch_sub(1, Ordering::Release) != 1 {
+        let strong = &self.header().strong;
+        let n = strong.get() - 1;
+        strong.set(n);
+        if n != 0 {
             return;
         }
-        fence(Ordering::Acquire);
         let header = self.0.as_ptr();
         // SAFETY: last reference; the block was produced by `new`, so the
         // stored drop fn matches the stored value.
@@ -322,21 +315,20 @@ mod tests {
 
     #[test]
     fn value_drops_exactly_once_on_last_handle() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let alive = Arc::new(AtomicBool::new(true));
-        struct Guard(Arc<AtomicBool>);
+        use std::rc::Rc;
+        let alive = Rc::new(Cell::new(true));
+        struct Guard(Rc<Cell<bool>>);
         impl Drop for Guard {
             fn drop(&mut self) {
-                assert!(self.0.swap(false, Ordering::SeqCst), "double drop");
+                assert!(self.0.replace(false), "double drop");
             }
         }
         let p = Payload::new(Guard(alive.clone()));
         let q = p.clone();
         drop(p);
-        assert!(alive.load(Ordering::SeqCst), "dropped while a clone was live");
+        assert!(alive.get(), "dropped while a clone was live");
         drop(q);
-        assert!(!alive.load(Ordering::SeqCst), "value not dropped with last handle");
+        assert!(!alive.get(), "value not dropped with last handle");
     }
 
     #[test]

@@ -50,7 +50,7 @@ const GEN_BITS: u32 = 16;
 /// Service-specific half of a session table. Implementations own the
 /// command generator and whatever per-request bookkeeping the service
 /// needs (command registry entries, expected-reply counts, …).
-pub trait SessionDriver: Send {
+pub trait SessionDriver {
     /// Builds, registers, and sends one fresh request under `id`. Draw
     /// randomness from `ctx.rng()` so runs stay deterministic.
     fn submit(&mut self, id: MsgId, ctx: &mut Ctx);

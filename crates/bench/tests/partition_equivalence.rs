@@ -1,25 +1,25 @@
-//! Property test for the shard scaffold's semantics-preservation claim:
-//! running any experiment-scale scenario under a k-way partition (k ∈
-//! 1..=4) of the shard executor — at *any* worker-thread count — yields
-//! exactly the run the identity partition yields single-threaded: same
-//! event count, same per-node delivery counters, same checksum over
-//! every counter the engine and protocols maintain.
+//! Property test for the engine's segmentation claim: running any
+//! experiment-scale scenario with its virtual time partitioned into k
+//! `run_until` segments (k ∈ {2, 3, 4, 7}) — the way fault plans and
+//! throughput samplers drive the engine — yields exactly the run a
+//! single `run_until` call yields: same virtual end time, same event
+//! count, same checksum over every counter the engine and protocols
+//! maintain. Segment boundaries land between, and on, queued events, so
+//! a queue that mis-parks its scan across a `run_until` return (or a
+//! protocol that reads the deadline) shows up as a divergence.
 //!
-//! The thread axis gates the determinism-mode contract from
-//! [`simnet::threaded`]: in [`ExecMode::Determinism`] the configured
-//! thread count must be *ignored* (the engine keeps the serial
-//! global-min merge), so every `(partition, threads)` combination below
-//! must observe bit-identically. The scenarios are miniatures of the
-//! chapter 4 (SMR over the B⁺-tree service) and chapter 5 (Ring Paxos /
-//! Multi-Ring Paxos) experiment deployments, so the equivalence is
-//! exercised through the full protocol stacks — multicast fan-out, TCP
-//! client channels, disk-backed acceptors, timers, and the coalesced
-//! delivery path — not just through synthetic traffic.
+//! The scenarios are miniatures of the chapter 4 (SMR over the B⁺-tree
+//! service) and chapter 5 (Ring Paxos / Multi-Ring Paxos) experiment
+//! deployments, so the equivalence is exercised through the full
+//! protocol stacks — multicast fan-out, TCP client channels,
+//! disk-backed acceptors, timers, and the coalesced delivery path — not
+//! just through synthetic traffic.
 //!
 //! A final (non-property) test drives the chapter 9 unplanned-crash
 //! schedule — coordinator crash, loss burst, CPU straggler, respawn —
-//! under the *fast-mode* threaded executor and checks that the run is
-//! thread-count invariant and still heals the ring.
+//! the parallel way: one `Sim` per OS thread, several workers at once
+//! (the engine itself is single-threaded). Every worker must observe the
+//! run the calling thread observes, and the ring must still heal.
 
 use hpsmr_core::deploy::{deploy_smr, SmrOptions};
 use multiring::{deploy_multiring, MultiRingOptions};
@@ -30,7 +30,6 @@ use ringpaxos::cluster::{
     URingRecoveryOptions,
 };
 use simnet::prelude::*;
-use simnet::ExecMode;
 use workload::WorkloadKind;
 
 /// Everything observable about a finished run: virtual end time, event
@@ -43,62 +42,36 @@ fn observe(sim: &Sim) -> Observed {
     (sim.now().as_nanos(), sim.events_processed(), counters)
 }
 
-/// A fresh determinism-mode sim with `shards` executor shards and
-/// `threads` configured workers (nodes home round-robin as the deploy
-/// adds them; `shards == 1` is the identity partition; the thread count
-/// must be a no-op in this mode).
-fn sim_with(seed: u64, shards: usize, threads: usize) -> Sim {
-    let mut cfg = SimConfig::default();
-    cfg.seed = seed;
-    let mut sim = if shards > 1 {
-        Sim::with_partition(cfg, Partition::modulo(0, shards))
-    } else {
-        Sim::new(cfg)
-    };
-    sim.set_threads(threads);
-    sim
+/// A fresh sim for `seed`.
+fn sim_with(seed: u64) -> Sim {
+    Sim::new(SimConfig { seed, ..SimConfig::default() })
 }
 
-/// The `(shards, threads)` grid a scenario must be invariant over:
-/// identity first, then every k ∈ 2..=4 at 1, 2, and k workers.
-fn grid() -> Vec<(usize, usize)> {
-    let mut g = vec![(1, 1)];
-    for k in 2..=4usize {
-        for t in [1, 2, k] {
-            if !g.contains(&(k, t)) {
-                g.push((k, t));
-            }
-        }
+/// Runs `sim` to `to` in `k` equal `run_until` segments (`k == 1` is
+/// the single-call identity run).
+fn run_segmented(sim: &mut Sim, to: Time, k: u64) {
+    for i in 1..=k {
+        sim.run_until(Time::ZERO + (to - Time::ZERO) * i / k);
     }
-    g
 }
+
+/// The segment counts a scenario must be invariant over (identity
+/// excluded).
+const SEGMENTS: [u64; 4] = [2, 3, 4, 7];
 
 /// Chapter 4 miniature: SMR over the B⁺-tree service.
-fn run_smr(
-    seed: u64,
-    clients: usize,
-    replicas: usize,
-    workload: WorkloadKind,
-    shards: usize,
-    threads: usize,
-) -> Observed {
-    let mut sim = sim_with(seed, shards, threads);
+fn run_smr(seed: u64, clients: usize, replicas: usize, workload: WorkloadKind, k: u64) -> Observed {
+    let mut sim = sim_with(seed);
     let opts =
         SmrOptions { n_replicas: replicas, n_clients: clients, workload, ..SmrOptions::default() };
     let _d = deploy_smr(&mut sim, &opts);
-    sim.run_until(Time::from_millis(120));
+    run_segmented(&mut sim, Time::from_millis(120), k);
     observe(&sim)
 }
 
 /// Chapter 5 miniature: one Ring Paxos ring with loss injection.
-fn run_mring(
-    seed: u64,
-    ring_size: usize,
-    rate_mbps: u64,
-    shards: usize,
-    threads: usize,
-) -> Observed {
-    let mut sim = sim_with(seed, shards, threads);
+fn run_mring(seed: u64, ring_size: usize, rate_mbps: u64, k: u64) -> Observed {
+    let mut sim = sim_with(seed);
     let opts = MRingOptions {
         ring_size,
         n_learners: 2,
@@ -108,13 +81,13 @@ fn run_mring(
         ..MRingOptions::default()
     };
     let _d = deploy_mring(&mut sim, &opts, |_| {});
-    sim.run_until(Time::from_millis(120));
+    run_segmented(&mut sim, Time::from_millis(120), k);
     observe(&sim)
 }
 
 /// Chapter 5 miniature: Multi-Ring Paxos, two rings, one merge learner.
-fn run_multiring(seed: u64, rate_mbps: u64, shards: usize, threads: usize) -> Observed {
-    let mut sim = sim_with(seed, shards, threads);
+fn run_multiring(seed: u64, rate_mbps: u64, k: u64) -> Observed {
+    let mut sim = sim_with(seed);
     let opts = MultiRingOptions {
         n_rings: 2,
         ring_size: 2,
@@ -124,15 +97,15 @@ fn run_multiring(seed: u64, rate_mbps: u64, shards: usize, threads: usize) -> Ob
         ..MultiRingOptions::default()
     };
     let _d = deploy_multiring(&mut sim, &opts);
-    sim.run_until(Time::from_millis(120));
+    run_segmented(&mut sim, Time::from_millis(120), k);
     observe(&sim)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Ch. 4 SMR scenarios are invariant over the whole
-    /// (partition, threads) grid in determinism mode.
+    /// Ch. 4 SMR scenarios are invariant over the run's partition
+    /// into segments.
     #[test]
     fn smr_scenarios_are_partition_invariant(
         seed in 0u64..1000,
@@ -144,57 +117,54 @@ proptest! {
             Just(WorkloadKind::InsDelBatch),
         ],
     ) {
-        let identity = run_smr(seed, clients, replicas, wk, 1, 1);
-        for (k, t) in grid().into_iter().skip(1) {
-            let sharded = run_smr(seed, clients, replicas, wk, k, t);
-            prop_assert_eq!(&sharded, &identity, "SMR run diverged under k={} threads={}", k, t);
+        let identity = run_smr(seed, clients, replicas, wk, 1);
+        for k in SEGMENTS {
+            let segmented = run_smr(seed, clients, replicas, wk, k);
+            prop_assert_eq!(&segmented, &identity, "SMR run diverged in {} segments", k);
         }
     }
 
-    /// Ch. 5 Ring Paxos scenarios are invariant over the whole
-    /// (partition, threads) grid in determinism mode.
+    /// Ch. 5 Ring Paxos scenarios are invariant over the run's
+    /// partition into segments.
     #[test]
     fn mring_scenarios_are_partition_invariant(
         seed in 0u64..1000,
         ring_size in 2usize..5,
         rate_mbps in 20u64..120,
     ) {
-        let identity = run_mring(seed, ring_size, rate_mbps, 1, 1);
-        for (k, t) in grid().into_iter().skip(1) {
-            let sharded = run_mring(seed, ring_size, rate_mbps, k, t);
-            prop_assert_eq!(&sharded, &identity, "M-Ring run diverged under k={} threads={}", k, t);
+        let identity = run_mring(seed, ring_size, rate_mbps, 1);
+        for k in SEGMENTS {
+            let segmented = run_mring(seed, ring_size, rate_mbps, k);
+            prop_assert_eq!(&segmented, &identity, "M-Ring run diverged in {} segments", k);
         }
     }
 
-    /// Ch. 5 Multi-Ring Paxos scenarios are invariant over the whole
-    /// (partition, threads) grid in determinism mode.
+    /// Ch. 5 Multi-Ring Paxos scenarios are invariant over the run's
+    /// partition into segments.
     #[test]
     fn multiring_scenarios_are_partition_invariant(
         seed in 0u64..1000,
         rate_mbps in 20u64..100,
     ) {
-        let identity = run_multiring(seed, rate_mbps, 1, 1);
-        for (k, t) in grid().into_iter().skip(1) {
-            let sharded = run_multiring(seed, rate_mbps, k, t);
-            prop_assert_eq!(&sharded, &identity, "Multi-Ring run diverged under k={} threads={}", k, t);
+        let identity = run_multiring(seed, rate_mbps, 1);
+        for k in SEGMENTS {
+            let segmented = run_multiring(seed, rate_mbps, k);
+            prop_assert_eq!(&segmented, &identity, "Multi-Ring run diverged in {} segments", k);
         }
     }
 }
 
-/// The ch. 9 unplanned-crash schedule under the fast-mode threaded
-/// executor: a recoverable U-Ring loses its coordinator at 1.0s inside
-/// a loss burst (0.4–1.6s) with a CPU straggler on a survivor
-/// (0.5–1.5s); the old coordinator respawns over its disk at 2.2s.
-/// FaultPlan drives the run in 250ms control-plane segments — each
-/// segment executes on the worker pool, fault actions apply serially
-/// between segments. The run must (a) be identical at 2, 3, and 4
-/// workers, and (b) still fail over and deliver through the outage.
+/// The ch. 9 unplanned-crash schedule, one `Sim` per OS thread: a
+/// recoverable U-Ring loses its coordinator at 1.0s inside a loss burst
+/// (0.4–1.6s) with a CPU straggler on a survivor (0.5–1.5s); the old
+/// coordinator respawns over its disk at 2.2s. FaultPlan drives the run
+/// in 250ms control-plane segments. The run on the calling thread is the
+/// reference; 2 and 3 concurrent workers must each (a) observe it
+/// exactly and (b) still fail over and deliver through the outage.
 #[test]
 fn ch9_fault_schedule_is_thread_count_invariant_in_fast_mode() {
-    fn run(threads: usize) -> Observed {
-        let mut sim = Sim::with_partition(SimConfig::default(), Partition::modulo(0, 4));
-        sim.set_exec_mode(ExecMode::Fast);
-        sim.set_threads(threads);
+    fn run() -> Observed {
+        let mut sim = Sim::new(SimConfig::default());
         let opts = URingOptions {
             ring_len: 5,
             n_acceptors: 3,
@@ -232,8 +202,14 @@ fn ch9_fault_schedule_is_thread_count_invariant_in_fast_mode() {
         observe(&sim)
     }
 
-    let two = run(2);
-    for threads in [3, 4] {
-        assert_eq!(run(threads), two, "fast-mode fault run diverged at {threads} workers");
+    let reference = run();
+    for workers in [2, 3] {
+        let got: Vec<Observed> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run)).collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        });
+        for (w, observed) in got.iter().enumerate() {
+            assert_eq!(observed, &reference, "fault run diverged on worker {w} of {workers}");
+        }
     }
 }

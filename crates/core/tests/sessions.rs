@@ -1,5 +1,6 @@
 //! Session-tier gates: the open-loop arrival sequence is a pure
-//! function of the seed, and mass sessions ride out a coordinator
+//! function of the seed (however the run is partitioned into
+//! `run_until` segments), and mass sessions ride out a coordinator
 //! failover injected by a [`FaultPlan`].
 
 use hpsmr_core::deploy::{deploy_smr_sessions, SessionDeployment, SessionOptions};
@@ -46,17 +47,23 @@ fn counters(sim: &Sim) -> Vec<(usize, String, u64)> {
     v
 }
 
-fn run(seed: u64) -> (Sim, SessionDeployment) {
+/// Runs to 400 ms in `segments` equal `run_until` calls.
+fn run(seed: u64, segments: u64) -> (Sim, SessionDeployment) {
     let (mut sim, d) = build(seed);
-    sim.run_until(Time::from_millis(400));
+    for i in 1..=segments {
+        sim.run_until(Time::ZERO + Dur::millis(400) * i / segments);
+    }
     (sim, d)
 }
 
 #[test]
-fn open_loop_arrivals_are_pure_in_seed() {
-    let (first, d1) = run(SimConfig::default().seed);
-    let (again, d2) = run(SimConfig::default().seed);
-    let (other, d3) = run(SimConfig::default().seed ^ 0x5EED);
+fn open_loop_arrivals_are_pure_in_seed_and_partition() {
+    let (first, d1) = run(SimConfig::default().seed, 1);
+    let (again, d2) = run(SimConfig::default().seed, 1);
+    let (other, d3) = run(SimConfig::default().seed ^ 0x5EED, 1);
+    // The same run partitioned into segments whose boundaries fall
+    // between the tables' 1 ms ticks and the arrivals they drive.
+    let (split, d4) = run(SimConfig::default().seed, 37);
 
     let pin = arrival_pin(&first, &d1);
     assert!(pin.iter().all(|&(sub, _)| sub > 500), "arrivals must flow: {pin:?}");
@@ -68,6 +75,10 @@ fn open_loop_arrivals_are_pure_in_seed() {
     // Same seed, same run: the whole counter surface matches, not just
     // the node-local arrival pin.
     assert_eq!(counters(&first), counters(&again));
+    // Partitioning the run into segments does not show anywhere.
+    assert_eq!(pin, arrival_pin(&split, &d4), "segmented arrival sequence diverged");
+    assert_eq!(counters(&first), counters(&split));
+    assert_eq!(first.events_processed(), split.events_processed());
     // The seed reaches the arrival process.
     assert_ne!(pin, arrival_pin(&other, &d3), "a new seed must move the arrivals");
 }

@@ -1338,4 +1338,177 @@ mod tests {
             "the crash reset wrote the in-flight bytes off"
         );
     }
+
+    // ---- run partitioning and network partitions ----
+
+    /// Full observable state of a finished run: delivery log, event
+    /// count, and every non-zero counter in deterministic order.
+    type Observed = (Vec<(u64, &'static str, u32)>, u64, Vec<(usize, String, u64)>);
+
+    /// Runs `sim` from its current instant to `to` in `k` equal
+    /// `run_until` segments (`k == 1` is a single call).
+    fn run_in_segments(sim: &mut Sim, to: Time, k: u64) {
+        let from = sim.now().as_nanos();
+        let span = to.as_nanos() - from;
+        for i in 1..=k {
+            sim.run_until(Time::ZERO + Dur::nanos(from + span * i / k));
+        }
+    }
+
+    /// A mixed workload (UDP bursts, multicast fan-in, TCP streams,
+    /// timers, random loss, a crash) on 4 nodes, with every stretch of
+    /// virtual time run in `k` segments.
+    fn mixed_workload(k: u64) -> Observed {
+        struct Echo {
+            log: Arc<Mutex<Vec<(Time, &'static str, u32)>>>,
+        }
+        impl Actor for Echo {
+            fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+                let n = env.payload.downcast_ref::<Note>().expect("Note");
+                self.log.lock().unwrap().push((ctx.now(), n.0, n.1));
+                // Reply to some traffic so paths run both ways.
+                if n.1.is_multiple_of(3) && n.0 == "u" {
+                    ctx.udp_send(env.src, Note("r", n.1), 256);
+                }
+            }
+            fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+                self.log.lock().unwrap().push((ctx.now(), "t", token.0 as u32));
+                if token.0 < 3 {
+                    ctx.set_timer(Dur::millis(1), TimerToken(token.0 + 1));
+                }
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut cfg = SimConfig::default();
+        cfg.random_loss = 0.01; // exercise the rng path
+        let mut sim = Sim::new(cfg);
+        let nodes: Vec<NodeId> =
+            (0..4).map(|_| sim.add_node(Box::new(Echo { log: log.clone() }))).collect();
+        let g = sim.add_group();
+        for &n in &nodes {
+            sim.subscribe(n, g);
+        }
+        sim.with_ctx(nodes[0], |ctx| {
+            for i in 0..40 {
+                ctx.udp_send(nodes[(i as usize % 3) + 1], Note("u", i), 1000 + i * 7);
+            }
+            ctx.mcast(g, Note("m", 0), 4096);
+            ctx.set_timer(Dur::micros(100), TimerToken(0));
+        });
+        sim.with_ctx(nodes[1], |ctx| {
+            for i in 0..30 {
+                ctx.tcp_send(nodes[2], Note("c", i), 8 * 1024);
+            }
+        });
+        run_in_segments(&mut sim, Time::from_millis(2), k);
+        sim.set_node_up(nodes[2], false);
+        run_in_segments(&mut sim, Time::from_millis(4), k);
+        sim.set_node_up(nodes[2], true);
+        sim.with_ctx(nodes[1], |ctx| {
+            for i in 100..110 {
+                ctx.tcp_send(nodes[2], Note("c", i), 8 * 1024);
+            }
+        });
+        run_in_segments(&mut sim, Time::from_millis(12), k);
+        sim.run_to_idle();
+        let deliveries =
+            log.lock().unwrap().iter().map(|e| (e.0.as_nanos(), e.1, e.2)).collect::<Vec<_>>();
+        let mut counters = Vec::new();
+        sim.metrics().for_each_counter(|n, name, v| counters.push((n.0, name.to_string(), v)));
+        (deliveries, sim.events_processed(), counters)
+    }
+
+    /// Partitioning a run into `run_until` segments — the way fault
+    /// plans and throughput samplers drive the engine — must not show:
+    /// every partition yields the byte-identical trace of the
+    /// one-call run, down to the segment boundaries that fall between
+    /// (or exactly on) queued events.
+    #[test]
+    fn partitions_reproduce_identity_trace() {
+        let identity = mixed_workload(1);
+        assert!(identity.0.len() > 80, "workload must deliver: {}", identity.0.len());
+        for k in [2u64, 3, 7, 64] {
+            let segmented = mixed_workload(k);
+            assert_eq!(segmented.0, identity.0, "delivery trace diverged in {k} segments");
+            assert_eq!(segmented.1, identity.1, "event count diverged in {k} segments");
+            assert_eq!(segmented.2, identity.2, "counters diverged in {k} segments");
+        }
+    }
+
+    /// Network partitions are keyed by node id, so one can be installed
+    /// before the deployment exists: it holds from the first packet
+    /// (the nodes' `on_start` traffic included), for every transport,
+    /// while each side keeps talking internally; healing reconnects.
+    #[test]
+    fn with_partition_installs_before_deploy() {
+        /// On start (and on each timer), one datagram and one TCP
+        /// segment to every peer plus one multicast to the group.
+        struct Chatty {
+            peers: Vec<NodeId>,
+            group: GroupId,
+            log: Arc<Mutex<Vec<(usize, usize, &'static str)>>>,
+        }
+        impl Chatty {
+            fn chat(&self, ctx: &mut Ctx) {
+                for &p in &self.peers {
+                    ctx.udp_send(p, Note("u", ctx.id().0 as u32), 512);
+                    ctx.tcp_send(p, Note("t", ctx.id().0 as u32), 4096);
+                }
+                ctx.mcast(self.group, Note("m", ctx.id().0 as u32), 1024);
+            }
+        }
+        impl Actor for Chatty {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                self.chat(ctx);
+            }
+            fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+                let n = env.payload.downcast_ref::<Note>().expect("Note");
+                self.log.lock().unwrap().push((n.1 as usize, ctx.id().0, n.0));
+            }
+            fn on_timer(&mut self, _token: TimerToken, ctx: &mut Ctx) {
+                self.chat(ctx);
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new(SimConfig::default());
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        // {a} | {b, c}, before any node exists.
+        sim.set_link_cut(a, b, true);
+        sim.set_link_cut(a, c, true);
+        let g = sim.add_group();
+        for n in [a, b, c] {
+            sim.subscribe(n, g);
+        }
+        for n in [a, b, c] {
+            let peers = [a, b, c].into_iter().filter(|&p| p != n).collect();
+            let id = sim.add_node(Box::new(Chatty { peers, group: g, log: log.clone() }));
+            assert_eq!(id, n);
+        }
+        sim.run_until(Time::from_millis(5));
+        let mut seen = log.lock().unwrap().clone();
+        seen.sort_unstable();
+        let expect = |pairs: &[(usize, usize)]| {
+            let mut v: Vec<(usize, usize, &'static str)> =
+                pairs.iter().flat_map(|&(s, d)| ["m", "t", "u"].map(|k| (s, d, k))).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(seen, expect(&[(1, 2), (2, 1)]), "only b <-> c may talk across the cut");
+        assert!(sim.metrics().sum("net.part_drop") >= 6, "a's traffic is dropped at the cut");
+
+        sim.set_link_cut(a, b, false);
+        sim.set_link_cut(a, c, false);
+        log.lock().unwrap().clear();
+        for n in [a, b, c] {
+            sim.with_ctx(n, |ctx| ctx.set_timer(Dur::micros(10), TimerToken(0)));
+        }
+        sim.run_until(Time::from_millis(10));
+        let mut seen = log.lock().unwrap().clone();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            expect(&[(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]),
+            "healing reconnects every pair"
+        );
+    }
 }

@@ -238,6 +238,36 @@ impl Metrics {
         }
     }
 
+    /// Clones this registry's shape — intern table and per-node rows —
+    /// with every counter zeroed and no latency samples.
+    pub fn fork_zeroed(&self) -> Metrics {
+        Metrics {
+            names: self.names.clone(),
+            index: self.index.clone(),
+            rows: self.rows.iter().map(|row| vec![0; row.len()]).collect(),
+            latencies: HashMap::new(),
+        }
+    }
+
+    /// Adds every counter and latency sample of `other` into this
+    /// registry. Counter addition and histogram merging are commutative,
+    /// so folding the registries of independent runs (say, one `Sim` per
+    /// OS thread of a seed sweep) gives the same totals in any order.
+    /// Names are re-interned by string, so `other` need not share this
+    /// registry's intern order.
+    pub fn merge_from(&mut self, other: &Metrics) {
+        for (n, row) in other.rows.iter().enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                if v != 0 {
+                    self.add(NodeId(n), other.names[i], v);
+                }
+            }
+        }
+        for (name, h) in &other.latencies {
+            self.latencies.entry(name).or_default().merge_from(h);
+        }
+    }
+
     /// Records one latency sample under `name`.
     pub fn record_latency(&mut self, name: &'static str, sample: Dur) {
         self.latencies.entry(name).or_default().record(sample.as_nanos());
@@ -331,6 +361,21 @@ fn bucket_value(idx: usize) -> u64 {
 }
 
 impl Histogram {
+    /// Folds `other`'s samples into this histogram. Bucket counts, the
+    /// running count/sum, and the max all combine exactly, so merging is
+    /// order-independent.
+    fn merge_from(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (b, &c) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *b += c;
+        }
+    }
+
     #[inline]
     fn record(&mut self, v: u64) {
         self.count += 1;
@@ -597,5 +642,59 @@ mod tests {
         m.record_latency("some", Dur::micros(10));
         let p = m.percentile("some", 0.5).expect("one sample recorded");
         close(p, Dur::micros(10), 2.0);
+    }
+
+    #[test]
+    fn fork_merge_is_commutative_for_counters_and_latencies() {
+        // Two zeroed forks of the same registry, each with its own
+        // counters and latency samples, folded in both orders.
+        let mk_base = || {
+            let mut m = Metrics::new();
+            m.add(NodeId(0), "x", 1);
+            m.record_latency("l", Dur::micros(1));
+            m
+        };
+        let base = mk_base();
+        let mut fa = base.fork_zeroed();
+        let mut fb = base.fork_zeroed();
+        assert_eq!(fa.latency("l").count, 0, "fork must not inherit samples");
+        assert_eq!(fa.counter(NodeId(0), "x"), 0, "fork must not inherit counts");
+        fa.add(NodeId(0), "x", 10);
+        fa.add(NodeId(1), "y", 3);
+        for i in 1..=50u64 {
+            fa.record_latency("l", Dur::micros(i));
+        }
+        fb.add(NodeId(0), "x", 20);
+        fb.add(NodeId(2), "z", 7);
+        for i in 51..=100u64 {
+            fb.record_latency("l", Dur::micros(i));
+        }
+
+        let mut ab = mk_base();
+        ab.merge_from(&fa);
+        ab.merge_from(&fb);
+        let mut ba = mk_base();
+        ba.merge_from(&fb);
+        ba.merge_from(&fa);
+
+        let snapshot = |m: &Metrics| {
+            let mut counters = Vec::new();
+            m.for_each_counter(|n, name, v| counters.push((n.0, name.to_string(), v)));
+            let l = m.latency("l");
+            (counters, l.count, l.mean, l.p50, l.p95, l.max)
+        };
+        assert_eq!(snapshot(&ab), snapshot(&ba));
+        assert_eq!(ab.counter(NodeId(0), "x"), 31);
+        assert_eq!(ab.latency("l").count, 101);
+        assert_eq!(ab.latency("l").max, Dur::micros(100));
+
+        // A registry with a different intern order folds by name.
+        let mut other = Metrics::new();
+        other.add(NodeId(1), "z", 2);
+        other.add(NodeId(1), "x", 4);
+        ab.merge_from(&other);
+        assert_eq!(ab.counter(NodeId(1), "x"), 4);
+        assert_eq!(ab.counter(NodeId(1), "z"), 2);
+        assert_eq!(ab.sum("z"), 9);
     }
 }

@@ -1,9 +1,14 @@
 //! Probe-layer determinism gates:
 //!
-//! * the same seed yields a byte-identical probe stream;
+//! * the same seed yields a byte-identical probe stream, whichever OS
+//!   thread runs the `Sim` and however many other simulations run
+//!   concurrently in the process (the engine is single-threaded; the
+//!   parallel way to run it is one `Sim` per thread);
 //! * the stream covers every category, time-sorted;
 //! * enabling probes does not perturb the simulation (events, time,
-//!   counter totals identical to a probe-free run).
+//!   counter totals identical to a probe-free run), and a capacity-0
+//!   config keeps the engine's aggregate telemetry while recording no
+//!   events.
 
 use simnet::prelude::*;
 
@@ -45,11 +50,15 @@ impl Actor for RingSender {
 }
 
 fn run(probes: Option<ProbeConfig>) -> Sim {
+    run_nodes(probes, 8)
+}
+
+/// The ring workload on `n` nodes, run to 30 ms.
+fn run_nodes(probes: Option<ProbeConfig>, n: usize) -> Sim {
     let mut sim = Sim::new(SimConfig::default());
     if let Some(cfg) = probes {
         sim.set_probes(cfg);
     }
-    let n = 8;
     for i in 0..n {
         let period = Dur::micros(150 + 17 * i as u64);
         sim.add_node(Box::new(RingSender {
@@ -71,12 +80,57 @@ fn observe(sim: &Sim) -> (Time, u64, Vec<(usize, String, u64)>) {
     (sim.now(), sim.events_processed(), counters)
 }
 
+/// Runs `f` on `workers` OS threads at once, each building and running
+/// its own `Sim`, and returns every worker's result in worker order.
+fn on_threads<T: Send>(workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || f(w))).collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    })
+}
+
+/// The engine's aggregate telemetry — everything a benchmark reads off
+/// a finished run besides wall time — plus the counter surface.
+type Telemetry = ((Time, u64, Vec<(usize, String, u64)>), (u64, u64), Vec<Dur>, u64);
+
+fn telemetry(sim: &Sim) -> Telemetry {
+    let busy = (0..sim.node_count()).map(|n| sim.cpu_busy_total(NodeId(n))).collect();
+    (observe(sim), sim.delivery_dispatch_stats(), busy, sim.probe_dropped())
+}
+
+/// The serial executor's stream is a pure function of the seed: the run
+/// on the calling thread, a repeat, and runs on one and on two spawned
+/// threads agree byte for byte.
 #[test]
-fn probe_stream_repeats_for_a_seed() {
-    let one = probe::encode(&run(Some(ProbeConfig::all())).probe_events());
-    let two = probe::encode(&run(Some(ProbeConfig::all())).probe_events());
-    assert!(!one.is_empty(), "workload must record probe events");
-    assert_eq!(one, two);
+fn determinism_mode_probe_stream_is_thread_count_invariant() {
+    let stream = || probe::encode(&run(Some(ProbeConfig::all())).probe_events());
+    let here = stream();
+    assert!(!here.is_empty(), "workload must record probe events");
+    assert_eq!(here, stream(), "a repeat on the same thread diverged");
+    for workers in [1, 2] {
+        for (w, got) in on_threads(workers, |_| stream()).into_iter().enumerate() {
+            assert_eq!(got, here, "worker {w} of {workers} diverged");
+        }
+    }
+}
+
+/// Independent runs parallelize by giving each OS thread its own `Sim`.
+/// With 2, 3, and 4 workers running *different* deployments at once,
+/// each worker's stream equals the one its deployment records alone:
+/// nothing leaks between concurrently running simulations.
+#[test]
+fn fast_mode_probe_stream_is_thread_count_invariant() {
+    let nodes = |w: usize| 5 + w;
+    let stream =
+        |w: usize| probe::encode(&run_nodes(Some(ProbeConfig::all()), nodes(w)).probe_events());
+    let alone: Vec<Vec<u8>> = (0..4).map(stream).collect();
+    assert!(alone.iter().all(|s| !s.is_empty()), "workload must record probe events");
+    assert_ne!(alone[0], alone[1], "deployments must differ for the check to bite");
+    for workers in [2, 3, 4] {
+        let got = on_threads(workers, stream);
+        assert_eq!(got[..], alone[..workers], "concurrent streams diverged at {workers} workers");
+    }
 }
 
 #[test]
@@ -107,4 +161,47 @@ fn enabling_probes_does_not_perturb_the_run() {
     assert_eq!(off, observe(&tiny));
     assert!(tiny.probe_dropped() > 0, "a tiny ring must wrap");
     assert_eq!(tiny.probe_events().len(), 8);
+}
+
+/// The deterministic parts of each worker's telemetry — virtual end
+/// time, event count, counters, batched-delivery stats, per-node CPU
+/// busy time, probe drops — are the same whether the run is alone or one
+/// of 2 or 4 concurrent workers. Folding every worker's metrics with
+/// `Metrics::merge_from` multiplies each counter by the worker count.
+#[test]
+fn worker_telemetry_deterministic_parts_are_invariant() {
+    let alone = telemetry(&run(Some(ProbeConfig::all())));
+    assert!(alone.1 .0 > 0, "workload must dispatch deliveries");
+    assert!(alone.2.iter().all(|&b| b > Dur::ZERO), "every node must burn CPU");
+    for workers in [2, 4] {
+        let got = on_threads(workers, |_| {
+            let sim = run(Some(ProbeConfig::all()));
+            let mut metrics = sim.metrics().fork_zeroed();
+            metrics.merge_from(sim.metrics());
+            (telemetry(&sim), metrics)
+        });
+        let mut merged = Metrics::new();
+        for (w, (t, m)) in got.iter().enumerate() {
+            assert_eq!(t, &alone, "worker {w} of {workers} diverged");
+            merged.merge_from(m);
+        }
+        let mut folded = Vec::new();
+        merged.for_each_counter(|n, name, v| folded.push((n.0, name.to_string(), v)));
+        let scaled: Vec<_> =
+            alone.0 .2.iter().map(|(n, name, v)| (*n, name.clone(), v * workers as u64)).collect();
+        assert_eq!(folded, scaled, "merged counters at {workers} workers");
+    }
+}
+
+/// A capacity-0 config arms the categories but buffers nothing: no
+/// events, no drops, and the engine's aggregates (time, events,
+/// counters, dispatch stats, CPU busy time) match a probe-free run.
+#[test]
+fn executor_only_config_keeps_aggregates_without_events() {
+    let sim = run(Some(ProbeConfig { categories: probe::category::ALL, capacity: 0 }));
+    assert!(sim.probe_events().is_empty(), "capacity 0 buffers nothing");
+    assert_eq!(sim.probe_dropped(), 0, "nothing buffered, nothing overwritten");
+    let aggregates = telemetry(&sim);
+    assert!(aggregates.0 .1 > 0, "the run itself must happen");
+    assert_eq!(aggregates, telemetry(&run(None)));
 }

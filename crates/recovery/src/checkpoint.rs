@@ -65,7 +65,7 @@ impl<V> Checkpointer<V> {
     /// Called after delivery advanced to `next_deliver`. When a
     /// checkpoint is due (and none is in flight), `snap` is invoked for
     /// the service snapshot — `(modelled bytes, opaque state)` — and the
-    /// disk write is issued. Returns whether a checkpoint was started.
+    /// disk write `(bytes, token)` the caller must issue is returned.
     pub fn maybe_checkpoint(
         &mut self,
         next_deliver: InstanceId,
@@ -73,10 +73,9 @@ impl<V> Checkpointer<V> {
         marks: Vec<u64>,
         parked: Vec<(u64, u64)>,
         snap: impl FnOnce() -> (u64, Option<Arc<dyn Any + Send + Sync>>),
-        ctx: &mut Ctx,
-    ) -> bool {
+    ) -> Option<(u32, TimerToken)> {
         if self.inflight.is_some() || next_deliver.0 < self.last.0 + self.interval {
-            return false;
+            return None;
         }
         let (state_bytes, state) = snap();
         let cp = Checkpoint { watermark: next_deliver, log_pos, marks, parked, state_bytes, state };
@@ -85,10 +84,9 @@ impl<V> Checkpointer<V> {
         // One sequential write of the whole snapshot (plus a small
         // metadata footer folded into the same operation).
         let bytes = state_bytes.clamp(1, u32::MAX as u64) as u32;
-        ctx.disk_write(bytes, TimerToken(self.token_kind | id));
         self.inflight = Some((id, cp));
         self.last = next_deliver;
-        true
+        Some((bytes, TimerToken(self.token_kind | id)))
     }
 
     /// Handles a disk completion of this checkpointer's kind: commits
@@ -132,14 +130,13 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx) {
             // Simulate delivery advancing one instance at a time.
             for i in 1..=self.deliver_upto {
-                self.cp.maybe_checkpoint(
-                    InstanceId(i),
-                    i * 10,
-                    vec![i],
-                    Vec::new(),
-                    || (64 * 1024, None),
-                    ctx,
-                );
+                let write =
+                    self.cp.maybe_checkpoint(InstanceId(i), i * 10, vec![i], Vec::new(), || {
+                        (64 * 1024, None)
+                    });
+                if let Some((bytes, token)) = write {
+                    ctx.disk_write(bytes, token);
+                }
             }
         }
         fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}

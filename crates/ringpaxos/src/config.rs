@@ -193,9 +193,10 @@ pub struct URingConfig {
     /// Every process, in ring order. Position 0 is the coordinator (the
     /// paper places the coordinator as the first acceptor to cut latency).
     pub ring: Vec<NodeId>,
-    /// Which ring positions are acceptors. The coordinator's position must
-    /// be included; `f + 1` acceptors vote before the decision.
-    pub acceptor_positions: Vec<usize>,
+    /// How many ring positions, from the coordinator at position 0, are
+    /// acceptors; `f + 1` acceptors vote before the decision. Every
+    /// layout keeps the acceptors contiguous from position 0.
+    pub n_acceptors: usize,
     /// Which ring positions are learners.
     pub learner_positions: Vec<usize>,
     /// Target consensus packet size (the paper uses 32 KB).
@@ -232,7 +233,7 @@ impl URingConfig {
         let n = ring.len();
         URingConfig {
             ring,
-            acceptor_positions: (0..n_acceptors).collect(),
+            n_acceptors,
             learner_positions: (0..n).collect(),
             packet_bytes: 32 * 1024,
             batch_timeout: Dur::micros(200),
@@ -258,7 +259,7 @@ impl URingConfig {
     /// The position of the last acceptor — the process that detects
     /// decisions in U-Ring Paxos (Algorithm 3).
     pub fn last_acceptor_pos(&self) -> usize {
-        *self.acceptor_positions.iter().max().expect("at least one acceptor")
+        self.n_acceptors.checked_sub(1).expect("at least one acceptor")
     }
 }
 

@@ -15,7 +15,13 @@
 //! into 8/32 KB consensus packets, loss recovery via preferential
 //! acceptors, learner-driven flow control, version-based garbage
 //! collection, in-memory vs recoverable (disk) acceptors, and coordinator
-//! failover (M-Ring Paxos).
+//! failover.
+//!
+//! The failover lifecycle both rings run — staggered suspicion, the
+//! Phase 1 takeover, `NewRing`/`Heartbeat` adoption, the ring-repair
+//! probe — and their learners' checkpoint and catch-up path live once in
+//! the crate-private `control` module, a sans-IO state machine each ring
+//! drives with its own data plane and transport.
 //!
 //! Use [`cluster::deploy_mring`] / [`cluster::deploy_uring`] to stand up a
 //! full ensemble on a [`simnet`] cluster:
@@ -33,6 +39,7 @@
 
 pub mod cluster;
 pub mod config;
+mod control;
 pub mod dedup;
 pub mod mring;
 pub mod msg;

@@ -20,6 +20,11 @@
 //! loss recovery through preferential acceptors (§3.3.4), coordinator
 //! failover (§3.3.5), window-based flow control with learner back-pressure
 //! (§3.3.6), and version-vector garbage collection (§3.3.7).
+//!
+//! Failover and learner catch-up run on the control plane both rings
+//! share (`crate::control`); M-Ring keeps its layout rule, value
+//! recovery, and transport (Phase 1 and probes by UDP, announcements by
+//! ip-multicast).
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -34,8 +39,10 @@ use recovery::{Checkpointer, RecoveredApp, StableHandle};
 use simnet::prelude::*;
 
 use crate::config::{MRingConfig, StorageMode};
+use crate::control::{Beat, Control, Out, Recovery, Repair, Takeover};
+use crate::control::{CATCHUP_CHUNK, CATCHUP_RETRY};
 use crate::dedup::DeliveredTracker;
-use crate::msg::MMsg;
+use crate::msg::{phase1b_wire_bytes, MMsg};
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
 
 // Timer tokens: kind in the top byte, payload (instance) below.
@@ -54,13 +61,6 @@ const T_RESUB: u64 = 12 << 56;
 const T_CKPT: u64 = 13 << 56;
 const T_CATCHUP: u64 = 14 << 56;
 const KIND_MASK: u64 = 0xff << 56;
-
-/// Decided instances served per recovery `CatchupRep` chunk.
-const CATCHUP_CHUNK: usize = 64;
-/// Retry period for an unanswered recovery `CatchupReq`.
-const CATCHUP_RETRY: Dur = Dur::millis(100);
-/// Checkpoint metadata bytes when no service snapshot is attached.
-const CKPT_META_BYTES: u64 = 4096;
 
 fn token_kind(t: TimerToken) -> u64 {
     t.0 & KIND_MASK
@@ -91,19 +91,6 @@ struct CoordState {
     logical_count: u64,
     /// Logical target accumulated from `lambda * delta` per interval.
     logical_target: u64,
-    /// Last time an outstanding instance completed its 2B relay (ring
-    /// liveness signal for repair, §3.3.5).
-    last_progress: Time,
-    /// In-flight acceptor probe (ring repair).
-    repair: Option<RepairState>,
-}
-
-/// Coordinator-side ring-repair probe: acceptors that answered the Ping
-/// and when the probe started.
-#[derive(Debug)]
-struct RepairState {
-    responders: BTreeSet<NodeId>,
-    started: Time,
 }
 
 /// Acceptor-only state.
@@ -126,7 +113,6 @@ struct AccState {
     early_2b: Window<Round>,
     /// Instances whose sync disk write is still pending.
     awaiting_disk: BTreeSet<InstanceId>,
-    last_coord_activity: Time,
 }
 
 /// Per-instance learner state: buffered payload (with the round of the
@@ -230,14 +216,6 @@ struct ProposerState {
     resubmit_q: VecDeque<u64>,
 }
 
-/// Failover (new coordinator election) state.
-struct Takeover {
-    round: Round,
-    promises: BTreeSet<NodeId>,
-    votes: BTreeMap<InstanceId, (Round, Batch)>,
-    decided: BTreeSet<InstanceId>,
-}
-
 /// Recovery configuration for one M-Ring process: durable vote
 /// recording (requires `StorageMode::SyncDisk` — only a write the disk
 /// actually completed enters the stable store), learner checkpoints,
@@ -253,33 +231,20 @@ pub struct MRecovery {
     pub resumed: bool,
 }
 
-/// Live recovery state of one M-Ring process.
-struct MRecState {
-    store: StableHandle<Batch>,
-    ckpt: Option<Checkpointer<Batch>>,
-    app: Option<Box<dyn RecoveredApp>>,
-    delivered_count: u64,
-    catching_up: bool,
-    catchup_started: Time,
-    /// Delivery position at the previous catch-up tick when a stuck gap
-    /// was observed; a gap persisting across two ticks (outliving the
-    /// UDP retransmission machinery) re-enters catch-up.
-    last_gap: Option<InstanceId>,
-}
-
 /// One M-Ring Paxos process; roles derive from its position in the
 /// configuration.
 pub struct MRingProcess {
     cfg: MRingConfig,
     me: NodeId,
-    round: Round,
+    /// The control plane over the acceptors (ring plus spares at
+    /// deployment); each promise reports the instances the acceptor
+    /// knows decided.
+    ctl: Control<Batch, Vec<InstanceId>>,
     coord: Option<CoordState>,
     acc: Option<AccState>,
     lrn: Option<LearnerState>,
     prop: Option<ProposerState>,
     log: Option<SharedLog>,
-    takeover: Option<Takeover>,
-    total_acceptors: usize,
     /// Live control of the proposer's offered rate (bits/s); experiment
     /// drivers flip it mid-run (Fig. 5.9/5.10 oscillating workloads).
     rate_ctl: Option<Rc<Cell<u64>>>,
@@ -289,7 +254,7 @@ pub struct MRingProcess {
     /// Highest GC watermark already applied; re-announcements of the same
     /// watermark (it rides on every 2A) skip the tree-splitting work.
     gc_applied: InstanceId,
-    rec: Option<MRecState>,
+    rec: Option<Recovery<Batch>>,
 }
 
 impl MRingProcess {
@@ -310,7 +275,9 @@ impl MRingProcess {
         let in_ring = cfg.ring.contains(&me);
         let is_spare = cfg.spares.contains(&me);
         let learner_index = cfg.learners.iter().position(|&n| n == me);
-        let total_acceptors = cfg.ring.len() + cfg.spares.len();
+        let acceptors: Vec<NodeId> = cfg.ring.iter().chain(&cfg.spares).copied().collect();
+        let ctl =
+            Control::new(me, acceptors.clone(), acceptors, round, Some(cfg.suspicion_timeout));
 
         let coord = is_coord.then(|| CoordState {
             pending: VecDeque::new(),
@@ -325,8 +292,6 @@ impl MRingProcess {
             gc_watermark: InstanceId(0),
             logical_count: 0,
             logical_target: 0,
-            last_progress: Time::ZERO,
-            repair: None,
         });
         let acc = (in_ring || is_spare).then(|| {
             let mut paxos = Acceptor::new();
@@ -340,7 +305,6 @@ impl MRingProcess {
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
                 awaiting_disk: BTreeSet::new(),
-                last_coord_activity: Time::ZERO,
             }
         });
         let lrn = learner_index.map(|index| LearnerState {
@@ -365,14 +329,12 @@ impl MRingProcess {
         MRingProcess {
             cfg,
             me,
-            round,
+            ctl,
             coord,
             acc,
             lrn,
             prop,
             log: learner_log,
-            takeover: None,
-            total_acceptors,
             rate_ctl: None,
             cost_ctl: None,
             gc_applied: InstanceId(0),
@@ -386,39 +348,20 @@ impl MRingProcess {
     /// checkpoint here; catch-up starts in `on_start`. The proposer role
     /// is not resumed (its sequence numbers are not logged).
     pub fn with_recovery(mut self, rec: MRecovery) -> MRingProcess {
-        let mut state = MRecState {
-            ckpt: (rec.checkpoint_interval > 0)
-                .then(|| Checkpointer::new(rec.store.clone(), rec.checkpoint_interval, T_CKPT)),
-            app: rec.app,
-            delivered_count: 0,
-            catching_up: false,
-            catchup_started: Time::ZERO,
-            last_gap: None,
-            store: rec.store,
-        };
+        let mut state = Recovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app);
+        self.ctl.log_promises(state.store.clone());
         if rec.resumed {
             if let Some(a) = self.acc.as_mut() {
-                let (promised, votes) = {
-                    let s = state.store.lock().unwrap();
-                    let votes: Vec<(InstanceId, Round, Batch)> =
-                        s.votes.iter().map(|(&i, (r, v))| (i, *r, v.clone())).collect();
-                    (s.promised, votes)
-                };
-                a.paxos = Acceptor::restore(promised.max(self.round), votes);
+                let s = state.store.lock().unwrap();
+                let votes = s.votes.iter().map(|(&i, (r, v))| (i, *r, v.clone()));
+                a.paxos = Acceptor::restore(s.promised.max(self.ctl.round), votes);
             }
             let cp = Checkpointer::recover(&state.store).unwrap_or_default();
             if let Some(l) = self.lrn.as_mut() {
                 l.next_deliver = cp.watermark;
                 l.applied_reported = cp.watermark;
-                l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                state.delivered_count = cp.log_pos;
-                if let Some(app) = state.app.as_mut() {
-                    app.restore(cp.state.as_ref());
-                }
-                if let Some(log) = self.log.as_ref() {
-                    log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
-                }
-                state.catching_up = true;
+                let log = self.log.as_ref().map(|log| (log, l.index));
+                state.adopt_checkpoint(&cp, &mut l.delivered, log, false, &mut self.ctl.out);
             }
         }
         self.rec = Some(state);
@@ -575,7 +518,7 @@ impl MRingProcess {
                 // The coordinator votes for its own proposal (it is the
                 // last acceptor in the ring).
                 if let Some(a) = self.acc.as_mut() {
-                    let _ = a.paxos.receive_2a(instance, self.round, batch.clone());
+                    let _ = a.paxos.receive_2a(instance, self.ctl.round, batch.clone());
                     if mask != ALL_PARTITIONS {
                         a.masks.insert(instance, mask);
                     }
@@ -585,7 +528,7 @@ impl MRingProcess {
                 let decided_below = c.outstanding.keys().next().copied().unwrap_or(instance);
                 let msg = MMsg::Phase2a {
                     instance,
-                    round: self.round,
+                    round: self.ctl.round,
                     batch: batch.clone(),
                     decisions: decisions.clone(),
                     gc_upto,
@@ -601,7 +544,7 @@ impl MRingProcess {
                 self.mcast_2a(msg, mask, wire, ctx);
                 // Local loop-back when the coordinator is also a learner
                 // (multicast does not echo to the sender).
-                let round = self.round;
+                let round = self.ctl.round;
                 self.learner_store(instance, &batch, mask, round);
                 self.learner_decide(&decisions, round);
                 self.try_deliver(ctx);
@@ -618,7 +561,7 @@ impl MRingProcess {
                     .as_ref()
                     .map(|p| p.decision_group)
                     .unwrap_or(self.cfg.group);
-                let round = self.round;
+                let round = self.ctl.round;
                 let decided_below = self.decided_below();
                 ctx.mcast(
                     group,
@@ -650,14 +593,14 @@ impl MRingProcess {
     }
 
     fn on_phase2b(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
-        if round != self.round {
+        if round != self.ctl.round {
             return;
         }
         if self.is_coordinator() {
             // Quorum complete: every ring acceptor voted, plus ourselves.
             let Some(c) = self.coord.as_mut() else { return };
             if let Some((_, _, mask)) = c.outstanding.remove(&instance) {
-                c.last_progress = ctx.now();
+                self.ctl.progress(ctx.now());
                 c.decided_unsent.push((instance, mask));
                 if let Some(a) = self.acc.as_mut() {
                     a.decided.insert(instance, ());
@@ -667,7 +610,7 @@ impl MRingProcess {
                     let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
                     ctx.probe(probe::code::DECIDE, key);
                 }
-                let round = self.round;
+                let round = self.ctl.round;
                 self.learner_decide(&[(instance, mask)], round);
                 self.try_deliver(ctx);
                 // Classic mode: decisions ride on the next 2A (or the
@@ -698,7 +641,7 @@ impl MRingProcess {
         let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
-        let round = self.round;
+        let round = self.ctl.round;
         let decided_below = self.decided_below();
         ctx.mcast(
             group,
@@ -714,19 +657,15 @@ impl MRingProcess {
     // ------------------------------------------------------------------
 
     fn on_phase2a(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
-        if round > self.round {
-            // A higher-round coordinator exists: adopt the round and step
-            // down if we (stale, e.g. restarted after a pause) still
-            // believe we coordinate.
-            self.round = round;
-            self.persist_promise(round);
-            self.coord = None;
-            self.takeover = None;
+        if self.ctl.advance_to(round) {
+            // A higher-round coordinator exists: step down if we (stale,
+            // e.g. restarted after a pause) still believe we coordinate.
+            self.depose(ctx);
         }
         let is_first = self.ring_pos() == Some(0);
         let Some(a) = self.acc.as_mut() else { return };
-        a.last_coord_activity = ctx.now();
-        if round != self.round || self.cfg.coordinator() == self.me {
+        self.ctl.heard_coordinator(ctx.now());
+        if round != self.ctl.round || self.cfg.coordinator() == self.me {
             return;
         }
         // Partitioned mode replicates one 2A onto several groups; an
@@ -969,25 +908,10 @@ impl MRingProcess {
 
     /// Starts a checkpoint when one is due (recovery-enabled learners).
     fn maybe_checkpoint(&mut self, ctx: &mut Ctx) {
-        let Some(rec) = self.rec.as_mut() else { return };
-        let Some(ckpt) = rec.ckpt.as_mut() else { return };
-        let Some(l) = self.lrn.as_ref() else { return };
-        if !ckpt.due(l.next_deliver) {
-            return;
+        let (Some(rec), Some(l)) = (self.rec.as_mut(), self.lrn.as_ref()) else { return };
+        if let Some((bytes, token)) = rec.maybe_checkpoint(l.next_deliver, &l.delivered) {
+            ctx.disk_write(bytes, token);
         }
-        let (marks, parked) = l.delivered.export();
-        let app = &mut rec.app;
-        ckpt.maybe_checkpoint(
-            l.next_deliver,
-            rec.delivered_count,
-            marks,
-            parked,
-            || match app {
-                Some(a) => a.snapshot(),
-                None => (CKPT_META_BYTES, None),
-            },
-            ctx,
-        );
     }
 
     /// Serves a recovery catch-up request from the acceptor's stored
@@ -1042,8 +966,7 @@ impl MRingProcess {
         available_from: InstanceId,
         ctx: &mut Ctx,
     ) {
-        let catching = self.rec.as_ref().is_some_and(|r| r.catching_up);
-        if !catching {
+        if !self.rec.as_ref().is_some_and(|r| r.catching_up()) {
             return; // a retry's duplicate reply after completion
         }
         let next_now = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
@@ -1059,7 +982,6 @@ impl MRingProcess {
             return;
         }
         let got = batches.len() as u64;
-        ctx.counter_add("rec.catchup_instances", got);
         let my_mask = self.lrn.as_ref().map(|l| l.my_mask).unwrap_or(ALL_PARTITIONS);
         for (instance, batch, round, _skip, mask) in batches {
             if mask & my_mask == 0 {
@@ -1069,28 +991,20 @@ impl MRingProcess {
             }
         }
         self.try_deliver(ctx);
+        // An empty reply below the horizon (the acceptor could not serve
+        // contiguously, e.g. mid-GC) waits for the T_CATCHUP retry.
         let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
         let rec = self.rec.as_mut().expect("checked above");
-        if next >= upto {
-            rec.catching_up = false;
-            let took = ctx.now().since(rec.catchup_started);
-            ctx.record_latency("rec.ttr", took);
-        } else if got > 0 {
-            let index = self.lrn.as_ref().map(|l| l.index).unwrap_or(0);
-            let pref = self.cfg.preferential_acceptor(index);
-            let me = self.me;
-            ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+        if rec.catchup_progress(ctx.now(), next, upto, got, &mut self.ctl.out) {
+            self.request_catchup(next, ctx);
         }
-        // `got == 0` below the horizon: the acceptor could not serve
-        // contiguously (e.g. mid-GC); the T_CATCHUP retry re-asks.
+        self.emit(ctx);
     }
 
     /// Adopts a peer learner's checkpoint (state transfer): jump the
     /// delivery window to its watermark and resume catch-up from there.
     fn on_snap_rep(&mut self, snap: Option<recovery::Checkpoint>, ctx: &mut Ctx) {
-        if !self.rec.as_ref().is_some_and(|r| r.catching_up) {
-            return;
-        }
+        let Some(rec) = self.rec.as_mut().filter(|r| r.catching_up()) else { return };
         let Some(cp) = snap else { return };
         let Some(l) = self.lrn.as_mut() else { return };
         if cp.watermark <= l.next_deliver {
@@ -1102,23 +1016,10 @@ impl MRingProcess {
         }
         l.next_deliver = cp.watermark;
         l.applied_reported = cp.watermark;
-        l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-        let index = l.index;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.delivered_count = cp.log_pos;
-            if let Some(app) = rec.app.as_mut() {
-                app.restore(cp.state.as_ref());
-            }
-        }
-        if let Some(log) = self.log.as_ref() {
-            log.lock().unwrap().mark_state_transfer(index, cp.log_pos as usize);
-        }
-        ctx.counter_add("rec.state_transfers", 1);
-        ctx.counter_add("rec.transfer_bytes", cp.state_bytes);
-        let next = cp.watermark;
-        let pref = self.cfg.preferential_acceptor(index);
-        let me = self.me;
-        ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+        let log = self.log.as_ref().map(|log| (log, l.index));
+        rec.adopt_checkpoint(&cp, &mut l.delivered, log, true, &mut self.ctl.out);
+        self.emit(ctx);
+        self.request_catchup(cp.watermark, ctx);
         self.try_deliver(ctx);
     }
 
@@ -1209,7 +1110,7 @@ impl MRingProcess {
     fn on_version(&mut self, learner: NodeId, applied: InstanceId, ctx: &mut Ctx) {
         if self.is_coordinator() {
             let n_learners = self.cfg.learners.len();
-            let f_plus_1 = quorum(self.total_acceptors).min(n_learners.max(1));
+            let f_plus_1 = quorum(self.ctl.acceptors.len()).min(n_learners.max(1));
             let Some(c) = self.coord.as_mut() else { return };
             let e = c.versions.entry(learner).or_insert(InstanceId(0));
             *e = (*e).max(applied);
@@ -1261,105 +1162,84 @@ impl MRingProcess {
     }
 
     // ------------------------------------------------------------------
-    // Failover (§3.3.5)
+    // Failover (§3.3.5) and ring repair (§3.3.4): M-Ring's side of
+    // `crate::control`.
     // ------------------------------------------------------------------
 
-    // ------------------------------------------------------------------
-    // Ring repair (§3.3.4/§3.3.5): the coordinator suspects a broken 2B
-    // relay, probes the acceptors, and lays out a new ring from the
-    // responders, pulling in spares to restore the m-quorum.
-    // ------------------------------------------------------------------
+    /// Carries out control-plane effects: Phase 1 and probes by UDP.
+    fn emit(&mut self, ctx: &mut Ctx) {
+        let (me, ctl) = (self.me, self.cfg.ctl_bytes);
+        for o in std::mem::take(&mut self.ctl.out) {
+            match o {
+                Out::Count(name, v) => ctx.counter_add(name, v),
+                Out::Latency(name, d) => ctx.record_latency(name, d),
+                Out::Suspect(d) => ctx.set_timer(d, TimerToken(T_SUSPECT)),
+                Out::Phase1a { to, round } => {
+                    ctx.udp_send(to, MMsg::Phase1a { round, from: me }, ctl)
+                }
+                Out::Phase1b { to, round, votes } => {
+                    let (wire, decided) = (phase1b_wire_bytes(ctl, &votes), self.decided_report());
+                    ctx.udp_send(to, MMsg::Phase1b { round, from: me, votes, decided }, wire);
+                }
+                Out::Ping { to } => ctx.udp_send(to, MMsg::Ping { from: me }, ctl),
+            }
+        }
+    }
+
+    /// Asks this learner's preferential acceptor for the decided suffix
+    /// from `next` (over TCP: the per-loss UDP path is too slow for a
+    /// whole outage).
+    fn request_catchup(&self, next: InstanceId, ctx: &mut Ctx) {
+        let pref = self.cfg.preferential_acceptor(self.lrn.as_ref().map_or(0, |l| l.index));
+        ctx.tcp_send(pref, MMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+    }
+
+    /// Acceptors outside the current layout — the deployment's spares and
+    /// any member a takeover or repair dropped — in deployment order.
+    fn spares(&self) -> Vec<NodeId> {
+        let acceptors = self.ctl.acceptors.iter();
+        acceptors.copied().filter(|n| !self.cfg.ring.contains(n)).collect()
+    }
+
+    /// This acceptor's Phase 1 report: the instances it knows decided.
+    fn decided_report(&self) -> Vec<InstanceId> {
+        self.acc.as_ref().map(|a| a.decided.iter().map(|(i, _)| i).collect()).unwrap_or_default()
+    }
 
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
-        enum Action {
-            Nothing,
-            Probe,
-            Reform,
-        }
-        let timeout = self.cfg.suspicion_timeout;
-        let now = ctx.now();
-        let action = {
-            let Some(c) = self.coord.as_ref() else { return };
-            match c.repair.as_ref() {
-                Some(r) if now.saturating_since(r.started) >= timeout / 2 => Action::Reform,
-                Some(_) => Action::Nothing,
-                None if !c.outstanding.is_empty()
-                    && now.saturating_since(c.last_progress) > timeout =>
-                {
-                    Action::Probe
-                }
-                None => Action::Nothing,
-            }
-        };
-        match action {
-            Action::Nothing => {}
-            Action::Probe => self.start_ring_probe(ctx),
-            Action::Reform => self.reform_ring(ctx),
+        let Some(c) = self.coord.as_ref() else { return };
+        let repair = self.ctl.repair_tick(ctx.now(), c.outstanding.is_empty());
+        self.emit(ctx);
+        if let Repair::Reform(responders) = repair {
+            self.reform_ring(responders, ctx);
         }
     }
 
-    fn start_ring_probe(&mut self, ctx: &mut Ctx) {
+    fn reform_ring(&mut self, responders: BTreeSet<NodeId>, ctx: &mut Ctx) {
         let me = self.me;
-        let targets: Vec<NodeId> = self
-            .cfg
-            .ring
-            .iter()
-            .chain(self.cfg.spares.iter())
-            .copied()
-            .filter(|&n| n != me)
-            .collect();
-        if let Some(c) = self.coord.as_mut() {
-            let mut responders = BTreeSet::new();
-            responders.insert(me);
-            c.repair = Some(RepairState { responders, started: ctx.now() });
-        }
-        ctx.counter_add("rp.ring_probe", 1);
-        for t in targets {
-            ctx.udp_send(t, MMsg::Ping { from: me }, self.cfg.ctl_bytes);
-        }
-    }
-
-    fn reform_ring(&mut self, ctx: &mut Ctx) {
-        let me = self.me;
-        let responders = {
-            let Some(c) = self.coord.as_mut() else { return };
-            let Some(r) = c.repair.take() else { return };
-            c.last_progress = ctx.now();
-            r.responders
-        };
         // Keep the surviving ring segment in order, then pull in live
-        // spares until the ring again holds an m-quorum (§3.3.5).
+        // spares until the ring again holds an m-quorum (§3.3.5). A
+        // dropped member stays an acceptor: it answers a later probe
+        // and is pulled back in like any spare.
         let mut ring: Vec<NodeId> =
             self.cfg.ring.iter().copied().filter(|&n| n != me && responders.contains(&n)).collect();
-        let target = quorum(self.total_acceptors).saturating_sub(1);
-        for s in self.cfg.spares.clone() {
-            if ring.len() >= target {
-                break;
-            }
-            if s != me && responders.contains(&s) && !ring.contains(&s) {
-                ring.push(s);
-            }
-        }
+        let majority = quorum(self.ctl.acceptors.len());
+        let live_spares = self.spares().into_iter().filter(|s| responders.contains(s));
+        ring.extend(live_spares.take(majority.saturating_sub(1 + ring.len())));
         ring.push(me);
         if ring == self.cfg.ring {
             return; // nothing to exclude — the stall was transient
         }
-        if ring.len() < quorum(self.total_acceptors) {
+        if ring.len() < majority {
             // Cannot gather an m-quorum: keep the old ring, retry later.
             ctx.counter_add("rp.repair_short", 1);
             return;
         }
-        // Demote excluded members to spares (a restarted acceptor can
-        // answer a later probe and rejoin).
-        for &old in &self.cfg.ring.clone() {
-            if !ring.contains(&old) && !self.cfg.spares.contains(&old) {
-                self.cfg.spares.push(old);
-            }
-        }
-        self.cfg.spares.retain(|s| !ring.contains(s));
         self.cfg.ring = ring.clone();
         ctx.counter_add("rp.ring_repair", 1);
-        let round = self.round;
+        // A repair keeps the round: learners match a decision's round
+        // against the payload's, and in-flight payloads carry this one.
+        let round = self.ctl.round;
         ctx.mcast(self.cfg.group, MMsg::NewRing { round, coord: me, ring }, self.cfg.ctl_bytes);
         // Restart the 2B relay for everything in flight: re-multicast the
         // outstanding 2As — the duplicate-2A path makes the new first
@@ -1374,198 +1254,98 @@ impl MRingProcess {
                 })
                 .collect()
         };
-        let decided_below = self.decided_below();
-        let ctl = self.cfg.ctl_bytes;
         for (instance, batch, mask) in outstanding {
-            let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(ctl);
-            let skip = self.skip_weight_of(instance);
-            let msg = MMsg::Phase2a {
-                instance,
-                round,
-                batch,
-                decisions: Rc::new(Vec::new()),
-                gc_upto: InstanceId(0),
-                skip,
-                mask,
-                decided_below,
-            };
-            self.mcast_2a(msg, mask, wire, ctx);
+            self.resend_2a(instance, batch, mask, ctx);
         }
     }
 
-    /// The skip weight this (coordinator-)acceptor recorded for
-    /// `instance` (0 for normal batches) — retransmitted 2As must repeat
-    /// it verbatim so every learner's merge sees identical weights.
-    fn skip_weight_of(&self, instance: InstanceId) -> u64 {
-        self.acc.as_ref().and_then(|a| a.skip_weights.get(&instance)).copied().unwrap_or(0)
-    }
-
-    fn suspect_check(&mut self, ctx: &mut Ctx) {
-        let timeout = self.cfg.suspicion_timeout;
-        let Some(pos) = self.ring_pos() else { return };
-        if self.is_coordinator() || self.takeover.is_some() {
-            return;
-        }
-        let silent = {
-            let Some(a) = self.acc.as_ref() else { return };
-            ctx.now().saturating_since(a.last_coord_activity)
+    /// Re-multicasts the 2A of outstanding `instance` under the current
+    /// round. It repeats the skip weight this (coordinator-)acceptor
+    /// recorded verbatim: learners feed it to the deterministic merge,
+    /// and a weight that differs from the original 2A's would
+    /// desynchronize the merge turn structure across replicas.
+    fn resend_2a(&mut self, instance: InstanceId, batch: Batch, mask: u32, ctx: &mut Ctx) {
+        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
+        let skip = self.acc.as_ref().and_then(|a| a.skip_weights.get(&instance)).copied();
+        let msg = MMsg::Phase2a {
+            instance,
+            round: self.ctl.round,
+            batch,
+            decisions: Rc::new(Vec::new()),
+            gc_upto: InstanceId(0),
+            skip: skip.unwrap_or(0),
+            mask,
+            decided_below: self.decided_below(),
         };
-        // Staggered takeover: ring position 0 reacts first, position 1
-        // after another timeout, and so on — avoids duelling candidates.
-        let my_delay = timeout + timeout * pos as u64;
-        if silent > my_delay {
+        self.mcast_2a(msg, mask, wire, ctx);
+    }
+
+    /// T_SUSPECT tick: a ring member's rank is its ring position (the
+    /// coordinator is last).
+    fn suspect_check(&mut self, ctx: &mut Ctx) {
+        let Some(start) = self.ctl.suspect_tick(ctx.now(), self.is_coordinator(), self.ring_pos())
+        else {
+            return;
+        };
+        if start {
             self.start_takeover(ctx);
-        } else {
-            ctx.set_timer(timeout, TimerToken(T_SUSPECT));
         }
+        ctx.set_timer(self.ctl.timeout, TimerToken(T_SUSPECT));
     }
 
     fn start_takeover(&mut self, ctx: &mut Ctx) {
-        let pos = self.ring_pos().unwrap_or(0) as u32;
-        self.round = self.round.next_for(pos);
-        let round = self.round;
-        self.takeover = Some(Takeover {
-            round,
-            promises: BTreeSet::new(),
-            votes: BTreeMap::new(),
-            decided: BTreeSet::new(),
-        });
-        ctx.counter_add("rp.takeover", 1);
-        let me = self.me;
-        // Phase 1A to every acceptor (ring + spares), including ourselves.
-        let targets: Vec<NodeId> = self
-            .cfg
-            .ring
-            .iter()
-            .chain(self.cfg.spares.iter())
-            .copied()
-            .filter(|&n| n != me)
-            .collect();
-        for t in targets {
-            ctx.udp_send(t, MMsg::Phase1a { round, from: me }, self.cfg.ctl_bytes);
-        }
-        // Self-promise.
-        let self_votes = self.collect_own_votes(round);
-        self.on_phase1b(round, me, self_votes.0, self_votes.1, ctx);
-        // Retry suspicion in case the takeover stalls (lost messages).
-        ctx.set_timer(self.cfg.suspicion_timeout * 4, TimerToken(T_SUSPECT));
-    }
-
-    /// Persists a promised/adopted round (recovery-enabled acceptors):
-    /// a restarted acceptor must not vote in a round it promised away.
-    /// Promise writes are control-sized and rare; their disk time is
-    /// folded into the next vote flush (see `recovery::stable`).
-    fn persist_promise(&self, round: Round) {
-        if self.acc.is_some() {
-            if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().log_promise(round);
-            }
-        }
-    }
-
-    fn collect_own_votes(
-        &mut self,
-        round: Round,
-    ) -> (Vec<(InstanceId, Round, Batch)>, Vec<InstanceId>) {
-        self.persist_promise(round);
-        let Some(a) = self.acc.as_mut() else { return (Vec::new(), Vec::new()) };
-        match a.paxos.receive_1a(round) {
-            Some(paxos::msg::PaxosMsg::Phase1b { votes, .. }) => {
-                (votes, a.decided.iter().map(|(i, _)| i).collect())
-            }
-            _ => (Vec::new(), a.decided.iter().map(|(i, _)| i).collect()),
+        let decided = self.decided_report();
+        let paxos = self.acc.as_mut().map(|a| &mut a.paxos);
+        let won = self.ctl.start_takeover(ctx.now(), paxos, InstanceId(0), decided);
+        self.emit(ctx);
+        if let Some(t) = won {
+            self.become_coordinator(t, ctx);
         }
     }
 
     fn on_phase1a(&mut self, round: Round, from: NodeId, ctx: &mut Ctx) {
-        if round > self.round {
-            self.round = round;
-            self.persist_promise(round);
-            // Abandon any personal takeover attempt against a higher round.
-            if self.takeover.as_ref().is_some_and(|t| t.round < round) {
-                self.takeover = None;
-            }
-            // Deposed coordinator stops proposing.
-            if self.coord.is_some() && self.cfg.coordinator() == self.me {
-                self.coord = None;
-            }
-            let (votes, decided) = self.collect_own_votes(round);
-            let me = self.me;
-            let wire = crate::msg::phase1b_wire_bytes(self.cfg.ctl_bytes, &votes);
-            ctx.udp_send(from, MMsg::Phase1b { round, from: me, votes, decided }, wire);
+        if self.ctl.on_phase1a(round) {
+            self.depose(ctx);
+            self.ctl.promise(from, self.acc.as_mut().map(|a| &mut a.paxos), InstanceId(0));
+            self.emit(ctx);
         }
     }
 
-    fn on_phase1b(
-        &mut self,
-        round: Round,
-        from: NodeId,
-        votes: Vec<(InstanceId, Round, Batch)>,
-        decided: Vec<InstanceId>,
-        ctx: &mut Ctx,
-    ) {
-        let total = self.total_acceptors;
-        let Some(t) = self.takeover.as_mut() else { return };
-        if t.round != round {
-            return;
-        }
-        if !t.promises.insert(from) {
-            return;
-        }
-        for (i, r, b) in votes {
-            match t.votes.get(&i) {
-                Some((vr, _)) if *vr >= r => {}
-                _ => {
-                    t.votes.insert(i, (r, b));
-                }
-            }
-        }
-        t.decided.extend(decided);
-        if t.promises.len() >= quorum(total) {
-            self.become_coordinator(ctx);
+    /// Drops the coordinator role (a higher round exists elsewhere).
+    /// Proposers resubmit what it never decided to the new coordinator.
+    fn depose(&mut self, ctx: &mut Ctx) {
+        if self.coord.take().is_some() {
+            self.ctl.deposed();
+            self.emit(ctx);
         }
     }
 
-    fn become_coordinator(&mut self, ctx: &mut Ctx) {
-        let t = self.takeover.take().expect("takeover in progress");
+    fn become_coordinator(&mut self, t: Takeover<Batch, Vec<InstanceId>>, ctx: &mut Ctx) {
         // Reform the ring: alive members we can't verify, so keep the old
-        // ring minus the old coordinator, with ourselves last.
+        // ring minus the old coordinator, with ourselves last. The old
+        // coordinator stays an acceptor, so a later repair can pull it
+        // back in once it answers a probe.
         let old_coord = self.cfg.coordinator();
         let mut ring: Vec<NodeId> =
             self.cfg.ring.iter().copied().filter(|&n| n != old_coord && n != self.me).collect();
         // Keep the ring at quorum size by pulling in spares (they have
         // been receiving 2As all along — Cheap Paxos style, §3.3.2).
-        let needed = quorum(self.total_acceptors).saturating_sub(1);
-        for &s in &self.cfg.spares {
-            if ring.len() >= needed {
-                break;
-            }
-            if !ring.contains(&s) && s != self.me {
-                ring.push(s);
-            }
-        }
+        let needed = quorum(self.ctl.acceptors.len()).saturating_sub(1 + ring.len());
+        ring.extend(self.spares().into_iter().filter(|&s| s != self.me).take(needed));
         ring.push(self.me);
         self.cfg.ring = ring.clone();
-        self.cfg.spares.retain(|s| !ring.contains(s));
         let round = t.round;
-        self.round = round;
-
+        let decided: BTreeSet<InstanceId> = t.promises.into_values().flatten().collect();
         // Resume after the highest instance seen anywhere.
-        let max_seen = t
-            .votes
-            .keys()
-            .next_back()
-            .copied()
-            .max(t.decided.iter().next_back().copied())
-            .map(|i| i.next())
-            .unwrap_or(InstanceId(0));
+        let max_seen =
+            t.votes.keys().next_back().max(decided.last()).map_or(InstanceId(0), |i| i.next());
 
         let mut cs = CoordState {
             pending: VecDeque::new(),
             pending_bytes: 0,
             next_instance: max_seen,
             outstanding: BTreeMap::new(),
-            decided_unsent: t.decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect(),
+            decided_unsent: decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect(),
             window: self.cfg.flow.initial_window,
             last_slowdown: Time::ZERO,
             last_mcast: ctx.now(),
@@ -1573,24 +1353,18 @@ impl MRingProcess {
             gc_watermark: InstanceId(0),
             logical_count: 0,
             logical_target: 0,
-            last_progress: ctx.now(),
-            repair: None,
         };
 
         // Re-propose undecided revealed votes (value pick rule).
-        let mut repropose: Vec<(InstanceId, Batch)> = Vec::new();
-        for (i, (_r, b)) in &t.votes {
-            if !t.decided.contains(i) {
-                repropose.push((*i, b.clone()));
-            }
-        }
-
+        let undecided = t.votes.into_iter().filter(|(i, _)| !decided.contains(i));
+        let repropose: Vec<(InstanceId, Batch)> = undecided.map(|(i, (_, b))| (i, b)).collect();
         for (instance, batch) in &repropose {
             cs.outstanding.insert(*instance, (batch.clone(), ctx.now(), ALL_PARTITIONS));
         }
         self.coord = Some(cs);
 
-        ctx.counter_add("rp.became_coord", 1);
+        self.ctl.became_coordinator(ctx.now());
+        self.emit(ctx);
         ctx.mcast(
             self.cfg.group,
             MMsg::NewRing { round, coord: self.me, ring },
@@ -1620,26 +1394,18 @@ impl MRingProcess {
         // Start coordinator timers.
         ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
         ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
-        ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
+        ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
         if let Some(skip) = self.cfg.skip {
             ctx.set_timer(skip.delta, TimerToken(T_SKIP));
         }
     }
 
-    fn on_new_ring(&mut self, round: Round, coord: NodeId, ring: Vec<NodeId>, ctx: &mut Ctx) {
-        if round < self.round {
+    fn on_new_ring(&mut self, round: Round, coord: NodeId, ring: &[NodeId], ctx: &mut Ctx) {
+        if !self.ctl.on_new_ring(ctx.now(), round, coord) {
             return;
         }
-        self.round = round;
-        self.persist_promise(round);
-        self.cfg.ring = ring;
-        if coord != self.me {
-            self.coord = None;
-            self.takeover = None;
-        }
-        if let Some(a) = self.acc.as_mut() {
-            a.last_coord_activity = ctx.now();
-        }
+        self.cfg.ring = ring.to_vec();
+        self.depose(ctx);
         // Proposers redirect and resubmit anything unacknowledged —
         // paced (T_RESUB), not burst: after a long outage the combined
         // backlog of all proposers can exceed the switch port buffer and
@@ -1691,7 +1457,7 @@ impl MRingProcess {
     /// logical instances (Multi-Ring Paxos, ch. 5). Many skips cost one
     /// consensus execution and a ~`ctl_bytes` message.
     fn propose_skip(&mut self, weight: u64, ctx: &mut Ctx) {
-        let round = self.round;
+        let round = self.ctl.round;
         let Some(c) = self.coord.as_mut() else { return };
         let instance = c.next_instance;
         c.next_instance = instance.next();
@@ -1721,7 +1487,7 @@ impl MRingProcess {
             },
             self.cfg.ctl_bytes,
         );
-        let r = self.round;
+        let r = self.ctl.round;
         self.learner_store(instance, &batch, ALL_PARTITIONS, r);
         self.learner_decide(&decisions, r);
         self.try_deliver(ctx);
@@ -1733,7 +1499,7 @@ impl Actor for MRingProcess {
         if self.is_coordinator() {
             ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
             ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
-            ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
+            ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
             if let Some(skip) = self.cfg.skip {
                 ctx.set_timer(skip.delta, TimerToken(T_SKIP));
             }
@@ -1746,24 +1512,18 @@ impl Actor for MRingProcess {
             ctx.set_timer(Dur::millis(20), TimerToken(T_RETRANS));
         }
         if self.acc.is_some() && !self.is_coordinator() {
-            ctx.set_timer(self.cfg.suspicion_timeout, TimerToken(T_SUSPECT));
+            ctx.set_timer(self.ctl.timeout, TimerToken(T_SUSPECT));
         }
         if self.rec.is_some() && self.lrn.is_some() {
             // Persistent tick: drives catch-up retries while recovering
             // and re-enters catch-up if a delivery gap gets stuck later.
             ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
         }
-        if self.rec.as_ref().is_some_and(|r| r.catching_up) {
-            let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
-            let index = self.lrn.as_ref().map(|l| l.index).unwrap_or(0);
-            let pref = self.cfg.preferential_acceptor(index);
-            let me = self.me;
-            if let Some(rec) = self.rec.as_mut() {
-                rec.catchup_started = ctx.now();
-            }
-            ctx.counter_add("rec.restarts", 1);
-            ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+        if self.rec.as_mut().is_some_and(|r| r.start_catchup(ctx.now(), &mut self.ctl.out)) {
+            let next = self.lrn.as_ref().map_or(InstanceId(0), |l| l.next_deliver);
+            self.request_catchup(next, ctx);
         }
+        self.emit(ctx);
     }
 
     // Default `on_batch` for same-instant runs (multicast fan-in,
@@ -1819,18 +1579,12 @@ impl Actor for MRingProcess {
                     ctx.udp_send(*from, MMsg::Pong { from: me }, self.cfg.ctl_bytes);
                 }
             }
-            MMsg::Pong { from } => {
-                if let Some(c) = self.coord.as_mut() {
-                    if let Some(r) = c.repair.as_mut() {
-                        r.responders.insert(*from);
-                    }
-                }
-            }
+            MMsg::Pong { from } => self.ctl.on_pong(*from),
             MMsg::Decision { instances, round, gc_upto, decided_below } => {
                 let instances = instances.clone();
                 let (round, gc_upto, decided_below) = (*round, *gc_upto, *decided_below);
                 if let Some(a) = self.acc.as_mut() {
-                    a.last_coord_activity = ctx.now();
+                    self.ctl.heard_coordinator(ctx.now());
                     for &(d, _) in instances.iter() {
                         a.decided.insert(d, ());
                     }
@@ -1878,23 +1632,15 @@ impl Actor for MRingProcess {
             MMsg::Version { learner, applied } => self.on_version(*learner, *applied, ctx),
             MMsg::Phase1a { round, from } => self.on_phase1a(*round, *from, ctx),
             MMsg::Phase1b { round, from, votes, decided } => {
-                let (round, from) = (*round, *from);
-                let votes = votes.clone();
-                let decided = decided.clone();
-                self.on_phase1b(round, from, votes, decided, ctx);
+                if let Some(t) = self.ctl.on_phase1b(*round, *from, votes.clone(), decided.clone())
+                {
+                    self.become_coordinator(t, ctx);
+                }
             }
-            MMsg::NewRing { round, coord, ring } => {
-                let (round, coord) = (*round, *coord);
-                let ring = ring.clone();
-                self.on_new_ring(round, coord, ring, ctx);
-            }
-            MMsg::CatchupReq { from, next } => {
-                let (from, next) = (*from, *next);
-                self.serve_catchup(from, next, ctx);
-            }
+            MMsg::NewRing { round, coord, ring } => self.on_new_ring(*round, *coord, ring, ctx),
+            MMsg::CatchupReq { from, next } => self.serve_catchup(*from, *next, ctx),
             MMsg::CatchupRep { batches, upto, available_from } => {
-                let (batches, upto, avail) = (batches.clone(), *upto, *available_from);
-                self.on_catchup_rep(batches, upto, avail, ctx);
+                self.on_catchup_rep(batches.clone(), *upto, *available_from, ctx);
             }
             MMsg::SnapReq { from } => {
                 let from = *from;
@@ -1906,20 +1652,12 @@ impl Actor for MRingProcess {
                     ctx.tcp_send(from, MMsg::SnapRep { snap }, wire);
                 }
             }
-            MMsg::SnapRep { snap } => {
-                let snap = snap.clone();
-                self.on_snap_rep(snap, ctx);
-            }
+            MMsg::SnapRep { snap } => self.on_snap_rep(snap.clone(), ctx),
             MMsg::Heartbeat { round, coord, ring } => {
-                if *round > self.round {
+                let same_layout = self.cfg.ring == *ring;
+                if self.ctl.on_heartbeat(ctx.now(), *round, *coord, same_layout) == Beat::Resync {
                     // Missed the NewRing (restart after pause): resync.
-                    let (round, coord) = (*round, *coord);
-                    let ring = ring.clone();
-                    self.on_new_ring(round, coord, ring, ctx);
-                } else if *round == self.round {
-                    if let Some(a) = self.acc.as_mut() {
-                        a.last_coord_activity = ctx.now();
-                    }
+                    self.on_new_ring(*round, *coord, ring, ctx);
                 }
             }
         }
@@ -1942,9 +1680,6 @@ impl Actor for MRingProcess {
             T_FLOW => {
                 if self.is_coordinator() {
                     let flow = self.cfg.flow;
-                    let round = self.round;
-                    let group = self.cfg.group;
-                    let ctl = self.cfg.ctl_bytes;
                     let Some(c) = self.coord.as_mut() else { return };
                     if ctx.now().saturating_since(c.last_slowdown) > flow.recovery_quiet {
                         c.window = (c.window + (c.window / 4).max(1)).min(flow.max_window);
@@ -1958,33 +1693,14 @@ impl Actor for MRingProcess {
                         .take(64)
                         .map(|(&i, (b, _, m))| (i, b.clone(), *m))
                         .collect();
-                    let _ = group;
                     for (instance, batch, mask) in overdue {
                         if let Some(c) = self.coord.as_mut() {
                             if let Some((_, at, _)) = c.outstanding.get_mut(&instance) {
                                 *at = ctx.now();
                             }
                         }
-                        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(ctl);
                         ctx.counter_add("rp.re2a", 1);
-                        let decided_below = self.decided_below();
-                        // The retransmission must carry the instance's
-                        // original skip weight: learners feed it to the
-                        // deterministic merge, and a weight that differs
-                        // from the original 2A's would desynchronize the
-                        // merge turn structure across replicas.
-                        let skip = self.skip_weight_of(instance);
-                        let msg = MMsg::Phase2a {
-                            instance,
-                            round,
-                            batch,
-                            decisions: Rc::new(Vec::new()),
-                            gc_upto: InstanceId(0),
-                            skip,
-                            mask,
-                            decided_below,
-                        };
-                        self.mcast_2a(msg, mask, wire, ctx);
+                        self.resend_2a(instance, batch, mask, ctx);
                     }
                     self.try_flush(ctx, false);
                     self.ring_repair_check(ctx);
@@ -2000,8 +1716,8 @@ impl Actor for MRingProcess {
                         let c = self.coord.as_ref().expect("coordinator");
                         ctx.now().saturating_since(c.last_mcast)
                     };
-                    if quiet >= self.cfg.suspicion_timeout / 2 {
-                        let round = self.round;
+                    if quiet >= self.ctl.timeout / 2 {
+                        let round = self.ctl.round;
                         let coord = self.me;
                         let ring = self.cfg.ring.clone();
                         ctx.mcast(
@@ -2013,13 +1729,13 @@ impl Actor for MRingProcess {
                             c.last_mcast = ctx.now();
                         }
                     }
-                    ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
+                    ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
                 }
             }
             T_DISK => {
                 // A synchronous vote write completed.
                 let instance = InstanceId(token_payload(token));
-                let round = self.round;
+                let round = self.ctl.round;
                 let is_first = self.ring_pos() == Some(0);
                 if let Some(a) = self.acc.as_mut() {
                     a.awaiting_disk.remove(&instance);
@@ -2038,48 +1754,27 @@ impl Actor for MRingProcess {
                 self.after_vote_durable(instance, round, is_first, ctx);
             }
             T_CKPT => {
-                let payload = token_payload(token);
+                // Acceptor-side trimming stays with the ring's
+                // version-vector GC (§3.3.7); the checkpoint already
+                // trimmed this node's durable vote log.
                 if let Some(rec) = self.rec.as_mut() {
-                    if rec.ckpt.as_mut().and_then(|c| c.on_token(payload)).is_some() {
-                        // Acceptor-side trimming stays with the ring's
-                        // version-vector GC (§3.3.7); the checkpoint
-                        // already trimmed this node's durable vote log.
-                        ctx.counter_add("rec.checkpoints", 1);
-                    }
+                    rec.checkpoint_durable(token_payload(token), &mut self.ctl.out);
                 }
+                self.emit(ctx);
             }
             T_CATCHUP => {
-                if self.lrn.is_none() || self.rec.is_none() {
-                    return;
-                }
-                let l = self.lrn.as_ref().expect("checked");
+                let (Some(l), Some(rec)) = (self.lrn.as_ref(), self.rec.as_mut()) else { return };
                 let next = l.next_deliver;
                 let stuck = l.horizon() > next
                     && l.window.front().is_some_and(|s| !s.ready() && !s.foreign);
-                let index = l.index;
-                let pref = self.cfg.preferential_acceptor(index);
-                let me = self.me;
-                let ctl = self.cfg.ctl_bytes;
-                let rec = self.rec.as_mut().expect("checked");
-                if rec.catching_up {
-                    ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, ctl);
-                } else if stuck {
-                    // A gap the 20 ms retransmission machinery did not
-                    // close within a full tick (e.g. the acceptors GC'd
-                    // the instance): go back to catch-up, which can
-                    // escalate to a peer state transfer.
-                    if rec.last_gap == Some(next) {
-                        rec.catching_up = true;
-                        rec.catchup_started = ctx.now();
-                        rec.last_gap = None;
-                        ctx.counter_add("rec.gap_catchups", 1);
-                        ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, ctl);
-                    } else {
-                        rec.last_gap = Some(next);
-                    }
-                } else {
-                    rec.last_gap = None;
+                // A gap the 20 ms retransmission machinery did not close
+                // within a full tick (e.g. the acceptors GC'd the
+                // instance) goes back to catch-up, which can escalate to
+                // a peer state transfer.
+                if rec.gap_tick(ctx.now(), next, stuck, &mut self.ctl.out) {
+                    self.request_catchup(next, ctx);
                 }
+                self.emit(ctx);
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
             T_SKIP => {
@@ -2103,7 +1798,7 @@ impl Actor for MRingProcess {
                 }
                 let is_first = payload & (1 << 55) != 0;
                 let instance = InstanceId(payload & !(1 << 55));
-                let round = self.round;
+                let round = self.ctl.round;
                 self.after_vote_durable(instance, round, is_first, ctx);
             }
             _ => {}

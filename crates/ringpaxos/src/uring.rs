@@ -43,24 +43,22 @@
 //!
 //! Setting [`URingConfig::suspicion_timeout`] arms the self-healing
 //! subsystem that ch. 7 identifies as U-Ring's missing piece (Fig. 7.5:
-//! a single crash otherwise stalls the ring for the whole outage):
+//! a single crash otherwise stalls the ring for the whole outage).
+//! Suspicion, the Phase 1 takeover, announcements and the repair probe
+//! are the control plane both rings share (`crate::control`); U-Ring
+//! adds, over its TCP links:
 //!
-//! * **Epoch takeover.** Non-coordinator acceptors suspect a silent
-//!   coordinator on a staggered schedule (position *k* waits *k*× the
-//!   timeout, so the first surviving acceptor usually wins uncontested)
-//!   and run Phase 1 under a higher round. A quorum of promises carries
-//!   the acceptors' vote state, from which the new coordinator
-//!   reconstructs the instance allocation — re-proposing undecided
-//!   instances with the highest-round revealed value and closing
-//!   revealed gaps with empty batches. The round acts as a
+//! * **Value recovery.** The new coordinator reconstructs the instance
+//!   allocation from the promise quorum's vote state — re-proposing
+//!   undecided instances with the highest-round revealed value and
+//!   closing revealed gaps with empty batches. The round acts as a
 //!   configuration epoch: `Phase2ab`/`Decision` traffic from a deposed
 //!   coordinator fails the round fence at every receiver.
-//! * **Ring repair.** The coordinator probes all members when decisions
-//!   stop circulating, splices silent processes out of the ring (a new
-//!   layout always bumps the round, so layout is a function of the
-//!   round), and splices them back in when they ask to rejoin
-//!   (`JoinReq`, sent by a process that finds itself outside the layout
-//!   carried by `NewRing`/`Heartbeat`).
+//! * **Layout.** A repair splices silent processes out of the ring (a
+//!   new layout always bumps the round, so layout is a function of the
+//!   round) and back in when they ask to rejoin (`JoinReq`, sent by a
+//!   process that finds itself outside the layout carried by
+//!   `NewRing`/`Heartbeat`).
 //! * The coordinator *can* be respawned over its stable store on a
 //!   failover-enabled ring: it comes back demoted and re-acquires
 //!   leadership (if at all) only through a takeover whose promise
@@ -76,16 +74,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use abcast::{metric, MsgId, Pacer, SharedLog};
 
+use crate::control::{Beat, Control, Out, Recovery, Repair, Takeover};
+use crate::control::{CATCHUP_CHUNK, CATCHUP_RETRY};
 use crate::dedup::DeliveredTracker;
 use paxos::acceptor::Acceptor;
-use paxos::msg::{quorum, InstanceId, PaxosMsg, Round};
-use recovery::{
-    Checkpoint, Checkpointer, DecidedCache, LogMode, RecoveredApp, StableHandle, VoteLog,
-};
+use paxos::msg::{quorum, InstanceId, Round};
+use recovery::{Checkpoint, Checkpointer, DecidedCache, LogMode, RecoveredApp};
+use recovery::{StableHandle, VoteLog};
 use simnet::prelude::*;
 
 use crate::config::{StorageMode, URingConfig};
-use crate::msg::UMsg;
+use crate::msg::{phase1b_wire_bytes, UMsg};
 use crate::value::{batch_bytes, Batch, BatchData, Value};
 
 const T_BATCH: u64 = 1 << 56;
@@ -99,18 +98,12 @@ const T_HEARTBEAT: u64 = 8 << 56;
 const T_DISK: u64 = 9 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
-/// Decided instances served per `CatchupRep` chunk.
-const CATCHUP_CHUNK: usize = 64;
-/// Retry period for an unanswered `CatchupReq`.
-const CATCHUP_RETRY: Dur = Dur::millis(100);
 /// Scan period of the re-proposal timers (recovery-enabled rings).
 const REPROP_INTERVAL: Dur = Dur::millis(50);
 /// Age beyond which an outstanding instance / undelivered value is
 /// re-sent. Comfortably above one loaded ring round-trip, far below the
 /// experiment's outage scale.
 const REPROP_AGE: Dur = Dur::millis(150);
-/// Checkpoint metadata bytes when no service snapshot is attached.
-const CKPT_META_BYTES: u64 = 4096;
 
 /// Recovery configuration for one U-Ring process (see the module docs).
 pub struct URecovery {
@@ -135,32 +128,14 @@ pub struct URecovery {
     pub resumed: bool,
 }
 
-/// Live recovery state of one process.
+/// Live recovery state of one process: the shared learner recovery
+/// plus U-Ring's vote log and decided-batch cache.
 struct RecState {
-    store: StableHandle<Batch>,
+    base: Recovery<Batch>,
     wal: VoteLog<Batch>,
-    ckpt: Option<Checkpointer<Batch>>,
     cache: DecidedCache<Batch>,
-    app: Option<Box<dyn RecoveredApp>>,
     peer: NodeId,
     retention: u64,
-    /// Values this learner delivered across all incarnations (the
-    /// checkpoint's `log_pos` basis).
-    delivered_count: u64,
-    catching_up: bool,
-    catchup_started: Time,
-    /// Delivery position at the previous catch-up tick when a stuck gap
-    /// was observed; a gap persisting across two ticks re-enters
-    /// catch-up (e.g. after completing against a peer that was itself
-    /// recovering and served an empty horizon).
-    last_gap: Option<InstanceId>,
-    /// When the periodic catch-up tick last ran. A node brought back up
-    /// with its state preserved lost every timer that expired while it
-    /// was down — including this chain — and on a failover-enabled ring
-    /// the others kept deciding around it, so the gap-detection tick is
-    /// exactly what it needs. Heartbeat receipt re-arms a chain whose
-    /// last tick is implausibly old (see `on_heartbeat`).
-    last_tick: Time,
 }
 
 /// Coordinator-only state.
@@ -172,33 +147,6 @@ struct UCoord {
     /// Batches of outstanding instances with their last-send time, kept
     /// on recovery- or failover-enabled rings for the re-proposal timer.
     outstanding_batches: BTreeMap<InstanceId, (Batch, Time)>,
-    /// Last time a decision circulated back (ring liveness signal).
-    last_progress: Time,
-    /// In-progress ring-repair probe.
-    repair: Option<URepair>,
-}
-
-/// An in-progress coordinator takeover: Phase 1 under `round`.
-struct UTakeover {
-    round: Round,
-    started: Time,
-    /// Acceptors whose promise arrived.
-    promises: BTreeSet<NodeId>,
-    /// Highest-round revealed vote per instance.
-    votes: BTreeMap<InstanceId, (Round, Batch)>,
-    /// Lowest delivery watermark among the promising acceptors — the
-    /// re-proposal window starts here.
-    db_min: InstanceId,
-    /// Highest delivery watermark among the promising acceptors —
-    /// instances past it with no revealed vote are provably undecided
-    /// (see `become_coordinator`) and get empty gap-fills.
-    db_max: InstanceId,
-}
-
-/// An in-progress ring-repair probe (coordinator side).
-struct URepair {
-    responders: BTreeSet<NodeId>,
-    started: Time,
 }
 
 /// One U-Ring Paxos process.
@@ -206,7 +154,10 @@ pub struct URingProcess {
     cfg: URingConfig,
     me: NodeId,
     pos: usize,
-    round: Round,
+    /// The control plane: every deployed process hears announcements and
+    /// probes (spliced-out or respawned ones resynchronize); each promise
+    /// reports the acceptor's delivery watermark.
+    ctl: Control<Batch, InstanceId>,
     coord: Option<UCoord>,
     acceptor: Option<Acceptor<Batch>>,
     /// Learner state: buffered decisions waiting for in-order delivery.
@@ -217,21 +168,10 @@ pub struct URingProcess {
     /// (the non-recovery `StorageMode` path).
     disk_pending: BTreeMap<InstanceId, (Round, Batch)>,
     rec: Option<RecState>,
-    /// Original full membership (deployment order). Reformed rings draw
-    /// from it, and `NewRing`/`Heartbeat`/`Ping` reach all of it, so
-    /// spliced-out or respawned processes resynchronize.
-    all_nodes: Vec<NodeId>,
-    /// Nodes holding the acceptor role — fixed at deployment; promise
-    /// quorums are counted over this set regardless of who is currently
-    /// spliced into the ring.
-    acceptor_nodes: Vec<NodeId>,
     /// Whether this process is currently outside the ring layout (it
     /// was spliced out while unreachable). Excluded processes still
     /// deliver decisions and answer probes, but stop relaying.
     excluded: bool,
-    /// Last time coordinator traffic in the current round was seen.
-    last_coord_activity: Time,
-    takeover: Option<UTakeover>,
 }
 
 struct ULearner {
@@ -269,7 +209,7 @@ impl URingProcess {
         let round = Round::new(1, 0);
         let failover = cfg.suspicion_timeout.is_some();
         let is_coord = pos == 0;
-        let is_acceptor = cfg.acceptor_positions.contains(&pos);
+        let is_acceptor = pos < cfg.n_acceptors;
         let learner_index = cfg.learner_positions.iter().position(|&p| p == pos);
         let coord = is_coord.then(|| UCoord {
             pending: VecDeque::new(),
@@ -277,8 +217,6 @@ impl URingProcess {
             next_instance: InstanceId(0),
             outstanding: BTreeSet::new(),
             outstanding_batches: BTreeMap::new(),
-            last_progress: Time::ZERO,
-            repair: None,
         });
         let acceptor = is_acceptor.then(|| {
             let mut a = Acceptor::new();
@@ -291,14 +229,13 @@ impl URingProcess {
             next_deliver: InstanceId(0),
             delivered: DeliveredTracker::new(),
         });
-        let all_nodes = cfg.ring.clone();
-        let acceptor_nodes: Vec<NodeId> =
-            cfg.acceptor_positions.iter().map(|&p| cfg.ring[p]).collect();
+        let acceptors = cfg.ring[..cfg.n_acceptors].to_vec();
+        let ctl = Control::new(me, acceptors, cfg.ring.clone(), round, cfg.suspicion_timeout);
         URingProcess {
             cfg,
             me,
             pos,
-            round,
+            ctl,
             coord,
             acceptor,
             learner,
@@ -314,11 +251,7 @@ impl URingProcess {
             log: learner_log,
             disk_pending: BTreeMap::new(),
             rec: None,
-            all_nodes,
-            acceptor_nodes,
             excluded: false,
-            last_coord_activity: Time::ZERO,
-            takeover: None,
         }
     }
 
@@ -327,33 +260,20 @@ impl URingProcess {
     /// process restores acceptor votes and the learner checkpoint from
     /// the stable store here, and starts catch-up in `on_start`.
     pub fn with_recovery(mut self, rec: URecovery) -> URingProcess {
-        let peer = rec.peer.unwrap_or_else(|| {
-            let last = self.cfg.last_acceptor_pos();
-            if self.pos == last {
-                self.cfg.ring[0]
-            } else {
-                self.cfg.ring[last]
-            }
-        });
+        let last = self.cfg.last_acceptor_pos();
+        let peer = rec.peer.unwrap_or(self.cfg.ring[if self.pos == last { 0 } else { last }]);
+        self.ctl.log_promises(rec.store.clone());
         let mut state = RecState {
             wal: VoteLog::new(rec.store.clone(), rec.wal_mode, self.cfg.disk_unit, T_WAL),
-            ckpt: (rec.checkpoint_interval > 0)
-                .then(|| Checkpointer::new(rec.store.clone(), rec.checkpoint_interval, T_CKPT)),
             cache: DecidedCache::new(),
-            app: rec.app,
             peer,
             retention: rec.catchup_retention,
-            delivered_count: 0,
-            catching_up: false,
-            catchup_started: Time::ZERO,
-            last_gap: None,
-            last_tick: Time::ZERO,
-            store: rec.store,
+            base: Recovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app),
         };
         if rec.resumed {
             if self.coord.is_some() {
                 assert!(
-                    self.failover_on(),
+                    self.ctl.enabled,
                     "the U-Ring coordinator can only be respawned on a failover-enabled \
                      ring (set cfg.suspicion_timeout): its instance allocation is not \
                      logged, so a fresh incarnation must re-acquire it through an epoch \
@@ -370,24 +290,17 @@ impl URingProcess {
             // fail the round check until a NewRing/Heartbeat resyncs us.
             if self.acceptor.is_some() {
                 let (promised, votes) = state.wal.replay();
-                let promised = promised.max(self.round);
-                self.round = promised;
+                let promised = promised.max(self.ctl.round);
+                self.ctl.round = promised;
                 self.acceptor = Some(Acceptor::restore(promised, votes));
             }
             // Learner role: restore the durable checkpoint.
-            let cp = Checkpointer::recover(&state.store).unwrap_or_default();
+            let cp = Checkpointer::recover(&state.base.store).unwrap_or_default();
             if let Some(l) = self.learner.as_mut() {
                 l.next_deliver = cp.watermark;
-                l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                state.delivered_count = cp.log_pos;
                 state.cache.trim_below(cp.watermark);
-                if let Some(app) = state.app.as_mut() {
-                    app.restore(cp.state.as_ref());
-                }
-                if let Some(log) = self.log.as_ref() {
-                    log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
-                }
-                state.catching_up = true;
+                let log = self.log.as_ref().map(|log| (log, l.index));
+                state.base.adopt_checkpoint(&cp, &mut l.delivered, log, false, &mut self.ctl.out);
             }
         }
         if let Some(p) = self.prop.as_mut() {
@@ -504,7 +417,7 @@ impl URingProcess {
     }
 
     fn try_flush(&mut self, ctx: &mut Ctx, force: bool) {
-        let keep_batches = self.rec.is_some() || self.failover_on();
+        let keep_batches = self.rec.is_some() || self.ctl.enabled;
         loop {
             let Some(c) = self.coord.as_mut() else { return };
             let window_open = (c.outstanding.len() as u32) < self.cfg.window;
@@ -556,9 +469,9 @@ impl URingProcess {
         }
         // The coordinator is the first acceptor: vote locally.
         if let Some(a) = self.acceptor.as_mut() {
-            let _ = a.receive_2a(instance, self.round, batch.clone());
+            let _ = a.receive_2a(instance, self.ctl.round, batch.clone());
         }
-        let round = self.round;
+        let round = self.ctl.round;
         let wire = self.hop_bytes(&batch, self.next_pos(), false);
         let succ = self.successor();
         if self.cfg.last_acceptor_pos() == 0 {
@@ -588,7 +501,7 @@ impl URingProcess {
     }
 
     fn on_phase2ab(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
-        if round != self.round {
+        if round != self.ctl.round {
             // The epoch fence: 2A/2B traffic from a deposed coordinator
             // (or a stale ring layout) dies here. A vote under a stale
             // layout could otherwise complete a "decision" at the old
@@ -596,7 +509,7 @@ impl URingProcess {
             ctx.counter_add("rp.stale_2ab", 1);
             return;
         }
-        self.last_coord_activity = ctx.now();
+        self.ctl.heard_coordinator(ctx.now());
         if self.excluded {
             return;
         }
@@ -610,7 +523,7 @@ impl URingProcess {
             // Recovery-enabled: write-ahead log the vote; `vote_and_forward`
             // runs from the WAL completion (T_WAL). Re-proposals of an
             // already-durable vote skip the disk and vote immediately.
-            if rec.store.lock().unwrap().votes.contains_key(&instance) {
+            if rec.base.store.lock().unwrap().votes.contains_key(&instance) {
                 self.vote_and_forward(instance, round, batch, ctx);
             } else {
                 let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
@@ -688,18 +601,15 @@ impl URingProcess {
         // Delivery is unconditionally safe — a decision is a decision,
         // whatever epoch we are in.
         self.learner_ready(instance, &batch, ctx);
-        if self.coord.is_some() {
-            let now = ctx.now();
-            if let Some(c) = self.coord.as_mut() {
-                c.outstanding.remove(&instance);
-                c.outstanding_batches.remove(&instance);
-                c.last_progress = now;
-            }
+        if let Some(c) = self.coord.as_mut() {
+            c.outstanding.remove(&instance);
+            c.outstanding_batches.remove(&instance);
+            self.ctl.progress(ctx.now());
             self.try_flush(ctx, false);
         }
         // Forwarding follows the ring layout, so it needs the epoch to
         // match (and this process to still be part of the layout).
-        if id_hops_left > 1 && round == self.round && !self.excluded {
+        if id_hops_left > 1 && round == self.ctl.round && !self.excluded {
             let wire = self.hop_bytes(&batch, self.next_pos(), true);
             ctx.tcp_send(
                 self.successor(),
@@ -739,7 +649,7 @@ impl URingProcess {
             }
             if let Some(rec) = self.rec.as_mut() {
                 rec.cache.record(delivered_instance, b.clone());
-                rec.delivered_count += fresh.len() as u64;
+                rec.base.delivered_count += fresh.len() as u64;
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
@@ -750,7 +660,7 @@ impl URingProcess {
             for v in &fresh {
                 ctx.counter_add_id(metric::id::DELIVERED_BYTES, v.bytes as u64);
                 ctx.counter_add_id(metric::id::DELIVERED_MSGS, 1);
-                if let Some(app) = self.rec.as_mut().and_then(|r| r.app.as_mut()) {
+                if let Some(app) = self.rec.as_mut().and_then(|r| r.base.app.as_mut()) {
                     app.apply(v.proposer.0 as u64, v.seq, v.bytes);
                 }
                 if v.proposer == self.me {
@@ -770,25 +680,10 @@ impl URingProcess {
 
     /// Starts a checkpoint when one is due (recovery-enabled learners).
     fn maybe_checkpoint(&mut self, ctx: &mut Ctx) {
-        let Some(rec) = self.rec.as_mut() else { return };
-        let Some(ckpt) = rec.ckpt.as_mut() else { return };
-        let Some(l) = self.learner.as_ref() else { return };
-        if !ckpt.due(l.next_deliver) {
-            return;
+        let (Some(rec), Some(l)) = (self.rec.as_mut(), self.learner.as_ref()) else { return };
+        if let Some((bytes, token)) = rec.base.maybe_checkpoint(l.next_deliver, &l.delivered) {
+            ctx.disk_write(bytes, token);
         }
-        let (marks, parked) = l.delivered.export();
-        let app = &mut rec.app;
-        ckpt.maybe_checkpoint(
-            l.next_deliver,
-            rec.delivered_count,
-            marks,
-            parked,
-            || match app {
-                Some(a) => a.snapshot(),
-                None => (CKPT_META_BYTES, None),
-            },
-            ctx,
-        );
     }
 
     /// Serves a catch-up request from a recovering peer: the decided
@@ -799,7 +694,7 @@ impl URingProcess {
         let mut wire = self.cfg.ctl_bytes as u64;
         let mut eff = next;
         let snap = if next < rec.cache.base() {
-            let cp = rec.store.lock().unwrap().checkpoint.clone();
+            let cp = rec.base.store.lock().unwrap().checkpoint.clone();
             if let Some(cp) = cp.as_ref() {
                 eff = cp.watermark;
                 wire += cp.state_bytes;
@@ -829,7 +724,7 @@ impl URingProcess {
     ) {
         {
             let Some(rec) = self.rec.as_mut() else { return };
-            if !rec.catching_up {
+            if !rec.base.catching_up() {
                 return; // a retry's duplicate reply after completion
             }
             if let Some(cp) = snap {
@@ -838,42 +733,27 @@ impl URingProcess {
                     // State transfer: adopt the peer's checkpoint.
                     l.next_deliver = cp.watermark;
                     l.ready = l.ready.split_off(&cp.watermark);
-                    l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                    rec.delivered_count = cp.log_pos;
                     rec.cache.trim_below(cp.watermark);
-                    if let Some(app) = rec.app.as_mut() {
-                        app.restore(cp.state.as_ref());
-                    }
-                    if let Some(log) = self.log.as_ref() {
-                        log.lock().unwrap().mark_state_transfer(l.index, cp.log_pos as usize);
-                    }
-                    ctx.counter_add("rec.state_transfers", 1);
-                    ctx.counter_add("rec.transfer_bytes", cp.state_bytes);
+                    let log = self.log.as_ref().map(|log| (log, l.index));
+                    rec.base.adopt_checkpoint(&cp, &mut l.delivered, log, true, &mut self.ctl.out);
                 }
             }
         }
         let got = batches.len() as u64;
-        ctx.counter_add("rec.catchup_instances", got);
         for (i, b) in batches {
             // `id_hops_left: 1` delivers locally without forwarding:
             // catch-up traffic must not re-enter the ring circulation.
-            let round = self.round;
+            let round = self.ctl.round;
             self.on_decision(i, b, 1, round, ctx);
         }
+        // Once caught up to the responder's horizon, the live ring flow
+        // (buffered in `ready` during catch-up) takes over.
         let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
         let rec = self.rec.as_mut().expect("checked above");
-        if next >= upto {
-            // Caught up to the responder's horizon; the live ring flow
-            // (buffered in `ready` during catch-up) takes over.
-            rec.catching_up = false;
-            let took = ctx.now().since(rec.catchup_started);
-            ctx.record_latency("rec.ttr", took);
-        } else if got > 0 {
-            let peer = rec.peer;
-            ctx.tcp_send(peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+        if rec.base.catchup_progress(ctx.now(), next, upto, got, &mut self.ctl.out) {
+            self.request_catchup(next, ctx);
         }
-        // `got == 0` below the horizon: the responder could not serve
-        // (e.g. it is itself recovering); the T_CATCHUP retry re-asks.
+        self.emit(ctx);
     }
 
     /// Periodic re-send scan (recovery- or failover-enabled rings): the
@@ -881,7 +761,7 @@ impl URingProcess {
     /// stalled, and proposers re-send undelivered values. Both paths are
     /// idempotent.
     fn repropose_check(&mut self, ctx: &mut Ctx) {
-        if self.rec.is_none() && !self.failover_on() {
+        if self.rec.is_none() && !self.ctl.enabled {
             return;
         }
         if self.excluded {
@@ -900,7 +780,7 @@ impl URingProcess {
                 }
             }
         }
-        let round = self.round;
+        let round = self.ctl.round;
         for (instance, batch) in resend {
             ctx.counter_add("rec.reproposals", 1);
             let wire = self.hop_bytes(&batch, self.next_pos(), false);
@@ -930,60 +810,50 @@ impl URingProcess {
     }
 
     // ------------------------------------------------------------------
-    // Failover: epoch takeover and ring repair (see the module docs).
+    // Failover: U-Ring's side of `crate::control` (see the module docs).
     // ------------------------------------------------------------------
 
-    fn failover_on(&self) -> bool {
-        self.cfg.suspicion_timeout.is_some()
-    }
-
-    fn suspicion_timeout(&self) -> Dur {
-        self.cfg.suspicion_timeout.unwrap_or(Dur::millis(200))
-    }
-
-    /// This process's delivery watermark (everything below is decided
-    /// and delivered here).
-    fn decided_below_here(&self) -> InstanceId {
+    /// This process's delivery watermark: everything below is decided
+    /// and delivered here, so its promises reveal votes from here up.
+    fn floor(&self) -> InstanceId {
         self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0))
     }
 
-    /// Persists a promised round through the stable store so a respawned
-    /// acceptor does not regress below it.
-    fn persist_promise(&mut self, round: Round) {
-        if self.acceptor.is_some() {
-            if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().log_promise(round);
+    /// Carries out control-plane effects over this ring's TCP links.
+    fn emit(&mut self, ctx: &mut Ctx) {
+        let (me, ctl) = (self.me, self.cfg.ctl_bytes);
+        for o in std::mem::take(&mut self.ctl.out) {
+            match o {
+                Out::Count(name, v) => ctx.counter_add(name, v),
+                Out::Latency(name, d) => ctx.record_latency(name, d),
+                Out::Suspect(d) => ctx.set_timer(d, TimerToken(T_SUSPECT)),
+                Out::Phase1a { to, round } => {
+                    ctx.tcp_send(to, UMsg::Phase1a { round, from: me }, ctl)
+                }
+                Out::Phase1b { to, round, votes } => {
+                    let (wire, decided_below) = (phase1b_wire_bytes(ctl, &votes), self.floor());
+                    ctx.tcp_send(to, UMsg::Phase1b { round, from: me, votes, decided_below }, wire);
+                }
+                Out::Ping { to } => ctx.tcp_send(to, UMsg::Ping { from: me }, ctl),
             }
         }
     }
 
-    /// This acceptor's Phase 1B payload for `round`: its accepted votes
-    /// from its own delivery watermark up (anything below it has been
-    /// delivered here, so the new coordinator never needs it from us),
-    /// plus that watermark.
-    fn own_votes(&mut self, round: Round) -> (Vec<(InstanceId, Round, Batch)>, InstanceId) {
-        let decided_below = self.decided_below_here();
-        let votes = match self.acceptor.as_mut().and_then(|a| a.receive_1a(round)) {
-            Some(PaxosMsg::Phase1b { votes, .. }) => {
-                votes.into_iter().filter(|(i, _, _)| *i >= decided_below).collect()
-            }
-            _ => Vec::new(),
-        };
-        (votes, decided_below)
+    /// Asks the catch-up peer for the decided suffix from `next`.
+    fn request_catchup(&self, next: InstanceId, ctx: &mut Ctx) {
+        if let Some(rec) = self.rec.as_ref() {
+            ctx.tcp_send(rec.peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+        }
     }
 
-    /// Adopts `ring` as the current layout: rewrites the ring, recomputes
-    /// the acceptor positions (the acceptor *role* follows the node and
-    /// is fixed at deployment) and this process's position. A process
-    /// absent from the layout marks itself excluded.
+    /// Adopts `ring` as the current layout: rewrites the ring, recounts
+    /// its acceptors (the acceptor *role* follows the node and is fixed
+    /// at deployment; every layout keeps acceptors contiguous from
+    /// position 0) and this process's position. A process absent from
+    /// the layout marks itself excluded.
     fn adopt_layout(&mut self, ring: &[NodeId]) {
         self.cfg.ring = ring.to_vec();
-        self.cfg.acceptor_positions = ring
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| self.acceptor_nodes.contains(n))
-            .map(|(p, _)| p)
-            .collect();
+        self.cfg.n_acceptors = ring.iter().filter(|n| self.ctl.acceptors.contains(n)).count();
         match ring.iter().position(|&n| n == self.me) {
             Some(p) => {
                 self.pos = p;
@@ -997,125 +867,56 @@ impl URingProcess {
     /// checker can verify per-learner epoch monotonicity.
     fn mark_epoch(&mut self) {
         if let (Some(l), Some(log)) = (self.learner.as_ref(), self.log.as_ref()) {
-            let epoch = (self.round.counter << 32) | self.round.owner as u64;
+            let epoch = (self.ctl.round.counter << 32) | self.ctl.round.owner as u64;
             log.lock().unwrap().mark_epoch(l.index, epoch);
         }
     }
 
-    /// Announces the current round + layout to the full membership (not
-    /// just the current ring: spliced-out processes must learn they can
-    /// rejoin, and stale coordinators that they are deposed).
+    /// Sends `msg` to every other deployed process (not just the current
+    /// ring: spliced-out processes must learn they can rejoin, and stale
+    /// coordinators that they are deposed).
+    fn announce(&self, msg: UMsg, ctx: &mut Ctx) {
+        for &n in &self.ctl.members {
+            if n != self.me {
+                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
+            }
+        }
+    }
+
     fn broadcast_ring(&mut self, ctx: &mut Ctx) {
-        let msg = UMsg::NewRing { round: self.round, coord: self.me, ring: self.cfg.ring.clone() };
-        for &n in &self.all_nodes {
-            if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
-            }
-        }
+        let ring = self.cfg.ring.clone();
+        self.announce(UMsg::NewRing { round: self.ctl.round, coord: self.me, ring }, ctx);
     }
 
-    /// T_SUSPECT tick: a non-coordinator acceptor that has heard nothing
-    /// from the coordinator for its staggered delay starts a takeover.
-    /// Position `k` waits `k`× the timeout, so the first surviving
-    /// acceptor usually wins uncontested; a contested (higher) round
-    /// simply deposes the lower one.
+    /// T_SUSPECT tick: an acceptor's rank among the non-coordinator
+    /// acceptors is `pos - 1` (the coordinator sits at position 0).
     fn suspect_check(&mut self, ctx: &mut Ctx) {
-        if !self.failover_on() || self.coord.is_some() {
+        let rank = (self.acceptor.is_some() && !self.excluded).then(|| self.pos.saturating_sub(1));
+        let Some(start) = self.ctl.suspect_tick(ctx.now(), self.coord.is_some(), rank) else {
             return; // chain ends; coordinators run the heartbeat chain
+        };
+        if start {
+            self.start_takeover(ctx);
         }
-        let timeout = self.suspicion_timeout();
-        let now = ctx.now();
-        if let Some(t) = self.takeover.as_ref() {
-            // Takeover in flight but the promise quorum never arrived
-            // (another acceptor died too, or our Phase 1A raced a
-            // partition): bump the round and try again.
-            if now.saturating_since(t.started) > timeout * 4 {
-                self.start_takeover(ctx);
-            }
-            ctx.set_timer(timeout, TimerToken(T_SUSPECT));
-            return;
-        }
-        if self.acceptor.is_some() && !self.excluded {
-            let my_delay = timeout * (self.pos.max(1) as u64);
-            if now.saturating_since(self.last_coord_activity) > my_delay {
-                self.start_takeover(ctx);
-            }
-        }
-        ctx.set_timer(timeout, TimerToken(T_SUSPECT));
+        ctx.set_timer(self.ctl.timeout, TimerToken(T_SUSPECT));
     }
 
-    /// Phase 1 under a fresh round owned by this node: collect promises
-    /// (with accepted votes) from the fixed acceptor set; a quorum makes
-    /// this node the coordinator of the new epoch.
     fn start_takeover(&mut self, ctx: &mut Ctx) {
-        let round = self.round.next_for(self.me.0 as u32);
-        self.round = round;
-        self.persist_promise(round);
-        self.takeover = Some(UTakeover {
-            round,
-            started: ctx.now(),
-            promises: BTreeSet::new(),
-            votes: BTreeMap::new(),
-            db_min: InstanceId(u64::MAX),
-            db_max: InstanceId(0),
-        });
-        ctx.counter_add("rp.takeover", 1);
-        let msg = UMsg::Phase1a { round, from: self.me };
-        for &n in &self.acceptor_nodes.clone() {
-            if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
-            }
+        let floor = self.floor();
+        let won = self.ctl.start_takeover(ctx.now(), self.acceptor.as_mut(), floor, floor);
+        self.emit(ctx);
+        if let Some(t) = won {
+            self.become_coordinator(t, ctx);
         }
-        // Self-promise with this acceptor's own vote state.
-        let (votes, decided_below) = self.own_votes(round);
-        self.on_phase1b(round, self.me, votes, decided_below, ctx);
     }
 
     fn on_phase1a(&mut self, round: Round, from: NodeId, ctx: &mut Ctx) {
-        if !self.failover_on() || round <= self.round {
-            return; // stale candidate; it will adopt our NewRing
-        }
-        self.round = round;
-        self.persist_promise(round);
-        // A lower-round takeover of our own has lost.
-        if self.takeover.as_ref().is_some_and(|t| t.round < round) {
-            self.takeover = None;
-        }
-        // If we were the coordinator, the higher round deposes us.
-        self.depose(ctx);
-        if self.acceptor.is_none() {
-            return;
-        }
-        let (votes, decided_below) = self.own_votes(round);
-        let wire = crate::msg::phase1b_wire_bytes(self.cfg.ctl_bytes, &votes);
-        ctx.tcp_send(from, UMsg::Phase1b { round, from: self.me, votes, decided_below }, wire);
-    }
-
-    fn on_phase1b(
-        &mut self,
-        round: Round,
-        from: NodeId,
-        votes: Vec<(InstanceId, Round, Batch)>,
-        decided_below: InstanceId,
-        ctx: &mut Ctx,
-    ) {
-        let quorum_n = quorum(self.acceptor_nodes.len());
-        let Some(t) = self.takeover.as_mut() else { return };
-        if round != t.round || !t.promises.insert(from) {
-            return;
-        }
-        for (i, vr, b) in votes {
-            match t.votes.get(&i) {
-                Some((prev, _)) if *prev >= vr => {}
-                _ => {
-                    t.votes.insert(i, (vr, b));
-                }
-            }
-        }
-        t.db_min = t.db_min.min(decided_below);
-        t.db_max = t.db_max.max(decided_below);
-        if t.promises.len() >= quorum_n {
-            self.become_coordinator(ctx);
+        if self.ctl.on_phase1a(round) {
+            // If we were the coordinator, the higher round deposes us.
+            self.depose(ctx);
+            let floor = self.floor();
+            self.ctl.promise(from, self.acceptor.as_mut(), floor);
+            self.emit(ctx);
         }
     }
 
@@ -1134,30 +935,22 @@ impl URingProcess {
     /// promiser's watermark were decided and delivered somewhere while
     /// this quorum's votes no longer cover them (checkpoint GC); they
     /// are left to the recovery catch-up path rather than guessed at.
-    fn become_coordinator(&mut self, ctx: &mut Ctx) {
-        let t = self.takeover.take().expect("quorum implies a takeover");
-        self.round = t.round;
+    fn become_coordinator(&mut self, t: Takeover<Batch, InstanceId>, ctx: &mut Ctx) {
         // New layout: me first (the coordinator is the first acceptor),
         // then the other promising acceptors, then the remaining current
         // members. Live processes spliced out here rejoin via JoinReq.
         let mut ring = vec![self.me];
-        for &n in &self.all_nodes {
-            if n != self.me && t.promises.contains(&n) {
-                ring.push(n);
-            }
-        }
-        let old_ring = self.cfg.ring.clone();
-        for &n in &old_ring {
-            if !ring.contains(&n) && !self.acceptor_nodes.contains(&n) {
-                ring.push(n);
-            }
-        }
-        let start = if t.db_min == InstanceId(u64::MAX) {
-            self.decided_below_here()
-        } else {
-            t.db_min.min(self.decided_below_here())
-        };
-        let mut next = start.max(t.db_max);
+        ring.extend(
+            self.ctl.members.iter().filter(|&&n| n != self.me && t.promises.contains_key(&n)),
+        );
+        ring.extend(self.cfg.ring.iter().filter(|&n| !self.ctl.acceptors.contains(n)));
+        // The re-proposal window starts at the lowest promiser watermark;
+        // instances past the highest with no revealed vote are provably
+        // undecided and get empty gap-fills.
+        let here = self.floor();
+        let start = t.promises.values().copied().min().unwrap_or(here).min(here);
+        let db_max = t.promises.values().copied().max().unwrap_or(InstanceId(0));
+        let mut next = start.max(db_max);
         if let Some((&hi, _)) = t.votes.iter().next_back() {
             next = next.max(hi.next());
         }
@@ -1168,15 +961,13 @@ impl URingProcess {
             next_instance: next,
             outstanding: BTreeSet::new(),
             outstanding_batches: BTreeMap::new(),
-            last_progress: now,
-            repair: None,
         };
         let mut reprops: Vec<(InstanceId, Batch)> = Vec::new();
         let mut i = start;
         while i < next {
             let batch = match t.votes.get(&i) {
                 Some((_, b)) => b.clone(),
-                None if i >= t.db_max => BatchData::empty(),
+                None if i >= db_max => BatchData::empty(),
                 None => {
                     i = i.next();
                     continue; // decided+delivered elsewhere; catch-up heals
@@ -1190,14 +981,15 @@ impl URingProcess {
         self.coord = Some(c);
         self.adopt_layout(&ring);
         self.mark_epoch();
-        ctx.counter_add("rp.became_coord", 1);
+        self.ctl.became_coordinator(now);
+        self.emit(ctx);
         self.broadcast_ring(ctx);
         for (i, b) in reprops {
             ctx.counter_add("rp.epoch_reproposals", 1);
             self.send_2ab(i, b, ctx);
         }
         ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
-        ctx.set_timer(self.suspicion_timeout() / 2, TimerToken(T_HEARTBEAT));
+        ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
     }
 
     /// Drops the coordinator role (a higher round exists elsewhere).
@@ -1205,44 +997,36 @@ impl URingProcess {
     /// undelivered values and re-send them to the new coordinator.
     fn depose(&mut self, ctx: &mut Ctx) {
         if self.coord.take().is_some() {
-            ctx.counter_add("rp.deposed", 1);
-            if self.failover_on() && self.acceptor.is_some() {
-                ctx.set_timer(self.suspicion_timeout(), TimerToken(T_SUSPECT));
-            }
+            self.ctl.deposed();
+            self.emit(ctx);
         }
     }
 
-    fn on_new_ring(&mut self, round: Round, coord: NodeId, ring: Vec<NodeId>, ctx: &mut Ctx) {
-        if !self.failover_on() || round < self.round || coord == self.me {
+    fn on_new_ring(&mut self, round: Round, coord: NodeId, ring: &[NodeId], ctx: &mut Ctx) {
+        if !self.ctl.on_new_ring(ctx.now(), round, coord) {
             return;
         }
-        self.round = round;
-        self.persist_promise(round);
-        self.takeover = None;
         self.depose(ctx);
-        self.adopt_layout(&ring);
+        self.adopt_layout(ring);
         self.mark_epoch();
-        self.last_coord_activity = ctx.now();
         if self.excluded {
             ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, self.cfg.ctl_bytes);
         }
     }
 
-    fn on_heartbeat(&mut self, round: Round, coord: NodeId, ring: Vec<NodeId>, ctx: &mut Ctx) {
-        if !self.failover_on() || round < self.round || coord == self.me {
-            return;
-        }
-        if round > self.round || self.cfg.ring != ring {
+    fn on_heartbeat(&mut self, round: Round, coord: NodeId, ring: &[NodeId], ctx: &mut Ctx) {
+        match self.ctl.on_heartbeat(ctx.now(), round, coord, self.cfg.ring == ring) {
+            Beat::Ignore => {}
             // A respawned process still holds its pre-crash layout under
             // its restored (promised) round: resync from the heartbeat.
-            self.on_new_ring(round, coord, ring, ctx);
-            return;
+            Beat::Resync => self.on_new_ring(round, coord, ring, ctx),
+            Beat::Alive => {
+                if self.excluded {
+                    ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, self.cfg.ctl_bytes);
+                }
+                self.revive_catchup_chain(ctx);
+            }
         }
-        self.last_coord_activity = ctx.now();
-        if self.excluded {
-            ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, self.cfg.ctl_bytes);
-        }
-        self.revive_catchup_chain(ctx);
     }
 
     /// A process brought back up with its state preserved lost every
@@ -1250,15 +1034,12 @@ impl URingProcess {
     /// included — and on a failover-enabled ring the others kept
     /// deciding around it, so gap detection is exactly what it needs.
     /// Heartbeats are the one signal such a process is guaranteed to
-    /// receive: re-arm the chain when its last tick is implausibly old
-    /// (a live chain ticks every `CATCHUP_RETRY`).
+    /// receive: re-arm the chain when it looks dead.
     fn revive_catchup_chain(&mut self, ctx: &mut Ctx) {
         if self.learner.is_none() {
             return;
         }
-        let Some(rec) = self.rec.as_mut() else { return };
-        if ctx.now().saturating_since(rec.last_tick) > CATCHUP_RETRY * 4 {
-            rec.last_tick = ctx.now();
+        if self.rec.as_mut().is_some_and(|rec| rec.base.revive_tick(ctx.now())) {
             ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
         }
     }
@@ -1266,99 +1047,41 @@ impl URingProcess {
     /// T_HEARTBEAT tick (coordinator only): keep-alives to the full
     /// membership, plus the ring-liveness check.
     fn heartbeat_tick(&mut self, ctx: &mut Ctx) {
-        if !self.failover_on() || self.coord.is_none() {
+        if !self.ctl.enabled || self.coord.is_none() {
             return; // deposed: the chain dies
         }
-        let msg =
-            UMsg::Heartbeat { round: self.round, coord: self.me, ring: self.cfg.ring.clone() };
-        for &n in &self.all_nodes.clone() {
-            if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
-            }
-        }
+        let ring = self.cfg.ring.clone();
+        self.announce(UMsg::Heartbeat { round: self.ctl.round, coord: self.me, ring }, ctx);
         self.ring_repair_check(ctx);
-        ctx.set_timer(self.suspicion_timeout() / 2, TimerToken(T_HEARTBEAT));
+        ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
     }
 
-    /// Coordinator-side ring liveness: while instances are outstanding,
-    /// decisions should keep circulating back. If none arrive for a
-    /// full suspicion timeout, probe every member and splice out the
-    /// silent ones (Fig. 7.5's fix: throughput resumes after one probe
-    /// round instead of staying down for the whole outage).
+    /// Coordinator-side ring liveness (Fig. 7.5's fix: throughput
+    /// resumes after one probe round instead of staying down for the
+    /// whole outage).
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
-        let timeout = self.suspicion_timeout();
-        let now = ctx.now();
-        enum Action {
-            Nothing,
-            Probe,
-            Reform,
-        }
-        let action = {
-            let Some(c) = self.coord.as_mut() else { return };
-            if let Some(r) = c.repair.as_ref() {
-                if now.saturating_since(r.started) >= timeout / 2 {
-                    Action::Reform
-                } else {
-                    Action::Nothing
-                }
-            } else if c.outstanding.is_empty() {
-                c.last_progress = now;
-                Action::Nothing
-            } else if now.saturating_since(c.last_progress) > timeout {
-                Action::Probe
-            } else {
-                Action::Nothing
-            }
-        };
-        match action {
-            Action::Nothing => {}
-            Action::Probe => self.start_ring_probe(ctx),
-            Action::Reform => self.finish_ring_repair(ctx),
+        let Some(c) = self.coord.as_ref() else { return };
+        let repair = self.ctl.repair_tick(ctx.now(), c.outstanding.is_empty());
+        self.emit(ctx);
+        if let Repair::Reform(responders) = repair {
+            self.finish_ring_repair(responders, ctx);
         }
     }
 
-    fn start_ring_probe(&mut self, ctx: &mut Ctx) {
-        let mut responders = BTreeSet::new();
-        responders.insert(self.me);
-        if let Some(c) = self.coord.as_mut() {
-            c.repair = Some(URepair { responders, started: ctx.now() });
-        }
-        ctx.counter_add("rp.ring_probe", 1);
-        for &n in &self.all_nodes.clone() {
-            if n != self.me {
-                ctx.tcp_send(n, UMsg::Ping { from: self.me }, self.cfg.ctl_bytes);
-            }
-        }
-    }
-
-    fn finish_ring_repair(&mut self, ctx: &mut Ctx) {
-        let responders = {
-            let Some(c) = self.coord.as_mut() else { return };
-            let Some(r) = c.repair.take() else { return };
-            c.last_progress = ctx.now();
-            r.responders
-        };
+    fn finish_ring_repair(&mut self, responders: BTreeSet<NodeId>, ctx: &mut Ctx) {
         // Keep responding members (acceptors contiguous first); silent
         // ones are spliced out and rejoin via JoinReq once they recover.
-        let mut ring = vec![self.me];
-        for &n in &self.all_nodes.clone() {
-            if n != self.me && responders.contains(&n) && self.acceptor_nodes.contains(&n) {
-                ring.push(n);
-            }
-        }
-        let live_acceptors = ring.len();
-        for &n in &self.all_nodes.clone() {
-            if n != self.me && responders.contains(&n) && !self.acceptor_nodes.contains(&n) {
-                ring.push(n);
-            }
-        }
-        if live_acceptors < quorum(self.acceptor_nodes.len()) {
+        let (acceptors, me) = (&self.ctl.acceptors, self.me);
+        let live = self.ctl.members.iter().filter(|&&n| n != me && responders.contains(&n));
+        let (live_acceptors, others): (Vec<NodeId>, _) = live.partition(|n| acceptors.contains(n));
+        if 1 + live_acceptors.len() < quorum(acceptors.len()) {
             // Too few live acceptors to decide anything: stay put and
             // keep probing (no layout can make progress without a
             // quorum anyway).
             ctx.counter_add("rp.repair_short", 1);
             return;
         }
+        let ring = [vec![me], live_acceptors, others].concat();
         if ring == self.cfg.ring {
             return; // everyone answered: the stall is load, not a crash
         }
@@ -1369,27 +1092,17 @@ impl URingProcess {
     /// function of the round, so stale-layout traffic fails the fence)
     /// and re-drives every outstanding instance through the new layout.
     fn reform_to(&mut self, ring: Vec<NodeId>, ctx: &mut Ctx) {
-        let round = self.round.next_for(self.me.0 as u32);
-        self.round = round;
-        self.persist_promise(round);
+        self.ctl.advance_to(self.ctl.round.next_for(self.me.0 as u32));
         self.adopt_layout(&ring);
         self.mark_epoch();
         ctx.counter_add("rp.ring_repair", 1);
         self.broadcast_ring(ctx);
-        let now = ctx.now();
-        let resend: Vec<(InstanceId, Batch)> = self
-            .coord
-            .as_mut()
-            .map(|c| {
-                c.outstanding_batches
-                    .iter_mut()
-                    .map(|(&i, (b, sent))| {
-                        *sent = now;
-                        (i, b.clone())
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut resend = Vec::new();
+        for (&i, (b, sent)) in self.coord.iter_mut().flat_map(|c| c.outstanding_batches.iter_mut())
+        {
+            *sent = ctx.now();
+            resend.push((i, b.clone()));
+        }
         for (i, b) in resend {
             self.send_2ab(i, b, ctx);
         }
@@ -1399,14 +1112,14 @@ impl URingProcess {
     /// (it recovered, or was wrongly suspected). Acceptors go back into
     /// the acceptor segment; others are appended.
     fn on_join_req(&mut self, from: NodeId, ctx: &mut Ctx) {
-        if !self.failover_on() || self.coord.is_none() {
+        if !self.ctl.enabled || self.coord.is_none() {
             return;
         }
-        if self.cfg.ring.contains(&from) || !self.all_nodes.contains(&from) {
+        if self.cfg.ring.contains(&from) || !self.ctl.members.contains(&from) {
             return;
         }
         let mut ring = self.cfg.ring.clone();
-        if self.acceptor_nodes.contains(&from) {
+        if self.ctl.acceptors.contains(&from) {
             ring.insert(self.cfg.last_acceptor_pos() + 1, from);
         } else {
             ring.push(from);
@@ -1418,19 +1131,19 @@ impl URingProcess {
 
 impl Actor for URingProcess {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.last_coord_activity = ctx.now();
+        self.ctl.heard_coordinator(ctx.now());
         if self.coord.is_some() {
             ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
-            if self.failover_on() {
-                ctx.set_timer(self.suspicion_timeout() / 2, TimerToken(T_HEARTBEAT));
+            if self.ctl.enabled {
+                ctx.set_timer(self.ctl.timeout / 2, TimerToken(T_HEARTBEAT));
             }
-        } else if self.failover_on() && self.acceptor.is_some() {
-            ctx.set_timer(self.suspicion_timeout(), TimerToken(T_SUSPECT));
+        } else if self.ctl.enabled && self.acceptor.is_some() {
+            ctx.set_timer(self.ctl.timeout, TimerToken(T_SUSPECT));
         }
         if self.prop.is_some() {
             ctx.set_timer(Dur::ZERO, TimerToken(T_PACE));
         }
-        if self.rec.is_none() && self.failover_on() {
+        if self.rec.is_none() && self.ctl.enabled {
             ctx.set_timer(REPROP_INTERVAL, TimerToken(T_REPROP));
         }
         if let Some(rec) = self.rec.as_mut() {
@@ -1441,13 +1154,10 @@ impl Actor for URingProcess {
                 // gets stuck later.
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
-            if rec.catching_up {
-                rec.catchup_started = ctx.now();
-                let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
-                let peer = rec.peer;
-                ctx.counter_add("rec.restarts", 1);
-                ctx.tcp_send(peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+            if rec.base.start_catchup(ctx.now(), &mut self.ctl.out) {
+                self.request_catchup(self.floor(), ctx);
             }
+            self.emit(ctx);
         }
     }
 
@@ -1481,45 +1191,22 @@ impl Actor for URingProcess {
                 let batch = batch.clone();
                 self.on_decision(instance, batch, ih, round, ctx);
             }
-            UMsg::Phase1a { round, from } => {
-                let (round, from) = (*round, *from);
-                self.on_phase1a(round, from, ctx);
-            }
+            UMsg::Phase1a { round, from } => self.on_phase1a(*round, *from, ctx),
             UMsg::Phase1b { round, from, votes, decided_below } => {
-                let (round, from, decided_below) = (*round, *from, *decided_below);
-                let votes = votes.clone();
-                self.on_phase1b(round, from, votes, decided_below, ctx);
-            }
-            UMsg::NewRing { round, coord, ring } => {
-                let (round, coord) = (*round, *coord);
-                let ring = ring.clone();
-                self.on_new_ring(round, coord, ring, ctx);
-            }
-            UMsg::Heartbeat { round, coord, ring } => {
-                let (round, coord) = (*round, *coord);
-                let ring = ring.clone();
-                self.on_heartbeat(round, coord, ring, ctx);
-            }
-            UMsg::Ping { from } => {
-                let from = *from;
-                ctx.tcp_send(from, UMsg::Pong { from: self.me }, self.cfg.ctl_bytes);
-            }
-            UMsg::Pong { from } => {
-                if let Some(r) = self.coord.as_mut().and_then(|c| c.repair.as_mut()) {
-                    r.responders.insert(*from);
+                if let Some(t) = self.ctl.on_phase1b(*round, *from, votes.clone(), *decided_below) {
+                    self.become_coordinator(t, ctx);
                 }
             }
-            UMsg::JoinReq { from } => {
-                let from = *from;
-                self.on_join_req(from, ctx);
+            UMsg::NewRing { round, coord, ring } => self.on_new_ring(*round, *coord, ring, ctx),
+            UMsg::Heartbeat { round, coord, ring } => self.on_heartbeat(*round, *coord, ring, ctx),
+            UMsg::Ping { from } => {
+                ctx.tcp_send(*from, UMsg::Pong { from: self.me }, self.cfg.ctl_bytes);
             }
-            UMsg::CatchupReq { from, next } => {
-                let (from, next) = (*from, *next);
-                self.serve_catchup(from, next, ctx);
-            }
+            UMsg::Pong { from } => self.ctl.on_pong(*from),
+            UMsg::JoinReq { from } => self.on_join_req(*from, ctx),
+            UMsg::CatchupReq { from, next } => self.serve_catchup(*from, *next, ctx),
             UMsg::CatchupRep { snap, batches, upto } => {
-                let (snap, batches, upto) = (snap.clone(), batches.clone(), *upto);
-                self.on_catchup_rep(snap, batches, upto, ctx);
+                self.on_catchup_rep(snap.clone(), batches.clone(), *upto, ctx);
             }
         }
     }
@@ -1545,19 +1232,17 @@ impl Actor for URingProcess {
             }
             T_CKPT => {
                 let payload = token.0 & !KIND_MASK;
-                if let Some(rec) = self.rec.as_mut() {
-                    if let Some(w) = rec.ckpt.as_mut().and_then(|c| c.on_token(payload)) {
-                        // The retention slack keeps a suffix below the
-                        // watermark so peers with short outages avoid a
-                        // full state transfer.
-                        let keep = InstanceId(w.0.saturating_sub(rec.retention));
-                        rec.cache.trim_below(keep);
-                        if let Some(a) = self.acceptor.as_mut() {
-                            a.gc_below(w);
-                        }
-                        ctx.counter_add("rec.checkpoints", 1);
+                let Some(rec) = self.rec.as_mut() else { return };
+                if let Some(w) = rec.base.checkpoint_durable(payload, &mut self.ctl.out) {
+                    // The retention slack keeps a suffix below the
+                    // watermark so peers with short outages avoid a
+                    // full state transfer.
+                    rec.cache.trim_below(InstanceId(w.0.saturating_sub(rec.retention)));
+                    if let Some(a) = self.acceptor.as_mut() {
+                        a.gc_below(w);
                     }
                 }
+                self.emit(ctx);
             }
             T_CATCHUP => {
                 let Some(l) = self.learner.as_ref() else { return };
@@ -1566,33 +1251,12 @@ impl Actor for URingProcess {
                 // live flow skipped instances this learner is missing.
                 let stuck = l.ready.keys().next().is_some_and(|&m| m > next);
                 let Some(rec) = self.rec.as_mut() else { return };
-                rec.last_tick = ctx.now();
-                let peer = rec.peer;
-                if rec.catching_up {
-                    ctx.tcp_send(
-                        peer,
-                        UMsg::CatchupReq { from: self.me, next },
-                        self.cfg.ctl_bytes,
-                    );
-                } else if stuck {
-                    // Re-enter catch-up if the gap outlived a full tick
-                    // (re-proposal normally closes small gaps faster).
-                    if rec.last_gap == Some(next) {
-                        rec.catching_up = true;
-                        rec.catchup_started = ctx.now();
-                        rec.last_gap = None;
-                        ctx.counter_add("rec.gap_catchups", 1);
-                        ctx.tcp_send(
-                            peer,
-                            UMsg::CatchupReq { from: self.me, next },
-                            self.cfg.ctl_bytes,
-                        );
-                    } else {
-                        rec.last_gap = Some(next);
-                    }
-                } else {
-                    rec.last_gap = None;
+                // Re-enters catch-up if a gap outlived a full tick
+                // (re-proposal normally closes small gaps faster).
+                if rec.base.gap_tick(ctx.now(), next, stuck, &mut self.ctl.out) {
+                    self.request_catchup(next, ctx);
                 }
+                self.emit(ctx);
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
             T_REPROP => self.repropose_check(ctx),
